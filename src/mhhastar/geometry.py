@@ -211,17 +211,29 @@ def vehicle_collides(
     cover: DiskCover,
     obstacles: ObstacleSet,
 ) -> bool:
-    """Two-stage check: disk-radius range query, then the exact oriented
-    rectangle test on surviving points. Equivalent to testing every point."""
+    """Two-stage check: a range query around each cover disk, then the exact
+    oriented rectangle test on surviving points. Equivalent to testing every
+    point.
+
+    Each query radius is clipped to min(cover radius, distance from the disk
+    center to the farthest body corner + 1e-9 m). The farthest point of a
+    rectangle from any center is a corner, so a point beyond that distance
+    cannot lie in the closed rectangle; the 1e-9 m margin keeps corner points
+    whose rounded squared distance lands just above the clipped radius."""
     if len(obstacles) == 0:
         return False
     c = math.cos(vehicle_pose.theta)
     s = math.sin(vehicle_pose.theta)
     half_w = geometry.width / 2.0
+    rear = -geometry.rear_overhang
+    front = geometry.front_extent
     for center in disk_centers_body(geometry, cover):
+        reach = math.hypot(
+            max(abs(center[0] - rear), abs(front - center[0])), half_w + abs(center[1])
+        )
         cx = vehicle_pose.x + c * center[0] - s * center[1]
         cy = vehicle_pose.y + s * center[0] + c * center[1]
-        cand = obstacles.query(cx, cy, cover.radius)
+        cand = obstacles.query(cx, cy, min(cover.radius, reach + 1e-9))
         if cand.shape[0] == 0:
             continue
         dx = cand[:, 0] - vehicle_pose.x
@@ -229,8 +241,8 @@ def vehicle_collides(
         bx = c * dx + s * dy
         by = -s * dx + c * dy
         inside = (
-            (bx >= -geometry.rear_overhang)
-            & (bx <= geometry.front_extent)
+            (bx >= rear)
+            & (bx <= front)
             & (np.abs(by) <= half_w)
         )
         if bool(inside.any()):

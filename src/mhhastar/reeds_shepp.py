@@ -1,9 +1,20 @@
 """Shortest bounded-curvature paths for a car that drives forward and reverse.
 
-Candidates are enumerated from the twelve classic closed-form word families
-and their timeflip/reflect variants (48 words), computed in a normalized frame
-where the turning radius is 1. Every candidate is endpoint-verified before it
-can be returned, so a formula that does not apply simply drops out.
+Candidates come from the twelve classic closed-form word families, each
+evaluated on four variants of the goal (as is, timeflipped, reflected, both),
+48 words in a normalized frame where the turning radius is 1. Per variant the
+sin/cos of its heading and the two polar terms every family reads,
+(x - sin phi, y - 1 + cos phi) and (x + sin phi, y - 1 - cos phi), are computed
+once. A family returns only its signed segment parameters; a static
+(turn, gear) pattern per family and variant names the segments, and a negative
+parameter means the same circle driven in the opposite gear.
+
+Selection builds no segment objects for losing words. A candidate's length is
+the left-to-right sum of |param| over parameters above 1e-12; candidates are
+ranked by a stable sort over enumeration order (family, then variant) and
+endpoint-verified shortest first, so among equal lengths the
+earliest-enumerated word wins. A formula that does not apply fails
+verification and simply drops out.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 from .geometry import Pose, normalize_angle
 from .vehicle import Gear, advance_arc
@@ -41,23 +53,8 @@ class RSPath:
     total_length: float
 
 
-# Internal candidate element: (param, turn, gear); param may be negative,
-# which means the same circle driven in the opposite gear.
+# Verified segment: (length, turn, gear) in the normalized frame.
 _Element = tuple[float, Turn, Gear]
-
-# Enum negation via lookup; constructing enums by value in the hot path is slow.
-_GEAR_NEG = {Gear.FORWARD: Gear.REVERSE, Gear.REVERSE: Gear.FORWARD}
-_TURN_NEG = {Turn.LEFT: Turn.RIGHT, Turn.RIGHT: Turn.LEFT, Turn.STRAIGHT: Turn.STRAIGHT}
-
-
-def _seg(param: float, turn: Turn, gear: Gear) -> _Element:
-    if param < 0.0:
-        return (-param, turn, _GEAR_NEG[gear])
-    return (param, turn, gear)
-
-
-def _polar(x: float, y: float) -> tuple[float, float]:
-    return math.hypot(x, y), math.atan2(y, x)
 
 
 def _asin(value: float) -> float:
@@ -71,58 +68,50 @@ _L = Turn.LEFT
 _S = Turn.STRAIGHT
 _R = Turn.RIGHT
 
-
-def _lsl(x, y, phi):
-    u, t = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    v = normalize_angle(phi - t)
-    return [_seg(t, _L, _F), _seg(u, _S, _F), _seg(v, _L, _F)]
+# Each family maps one polar term (rho, theta) and the variant heading phi to
+# its signed segment parameters, or None where the formula does not apply.
 
 
-def _lsr(x, y, phi):
-    rho, t1 = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _lsl(rho, theta, phi):
+    return theta, rho, normalize_angle(phi - theta)
+
+
+def _lsr(rho, theta, phi):
     if rho * rho < 4.0:
         return None
     u = math.sqrt(rho * rho - 4.0)
-    t = normalize_angle(t1 + math.atan2(2.0, u))
-    v = normalize_angle(t - phi)
-    return [_seg(t, _L, _F), _seg(u, _S, _F), _seg(v, _R, _F)]
+    t = normalize_angle(theta + math.atan2(2.0, u))
+    return t, u, normalize_angle(t - phi)
 
 
-def _lrl(x, y, phi):
-    rho, theta = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
+def _lrl(rho, theta, phi):
     if rho > 4.0:
         return None
     a = math.acos(rho / 4.0)
     t = normalize_angle(theta + math.pi / 2.0 + a)
     u = normalize_angle(math.pi - 2.0 * a)
-    v = normalize_angle(phi - t - u)
-    return [_seg(t, _L, _F), _seg(u, _R, _B), _seg(v, _L, _F)]
+    return t, u, normalize_angle(phi - t - u)
 
 
-def _lrl_rr(x, y, phi):
-    rho, theta = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
+def _lrl_rr(rho, theta, phi):
     if rho > 4.0:
         return None
     a = math.acos(rho / 4.0)
     t = normalize_angle(theta + math.pi / 2.0 + a)
     u = normalize_angle(math.pi - 2.0 * a)
-    v = normalize_angle(t + u - phi)
-    return [_seg(t, _L, _F), _seg(u, _R, _B), _seg(v, _L, _B)]
+    return t, u, normalize_angle(t + u - phi)
 
 
-def _lrl_lr(x, y, phi):
-    rho, theta = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
+def _lrl_lr(rho, theta, phi):
     if rho > 4.0 or rho == 0.0:
         return None
     u = math.acos(1.0 - rho * rho / 8.0)
     a = _asin(2.0 * math.sin(u) / rho)
     t = normalize_angle(theta + math.pi / 2.0 - a)
-    v = normalize_angle(t - u - phi)
-    return [_seg(t, _L, _F), _seg(u, _R, _F), _seg(v, _L, _B)]
+    return t, u, normalize_angle(t - u - phi)
 
 
-def _lrlr_u(x, y, phi):
-    rho, theta = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _lrlr_u(rho, theta, phi):
     if rho > 4.0:
         return None
     if rho <= 2.0:
@@ -133,12 +122,10 @@ def _lrlr_u(x, y, phi):
         a = math.acos((rho - 2.0) / 4.0)
         t = normalize_angle(theta + math.pi / 2.0 - a)
         u = normalize_angle(math.pi - a)
-    v = normalize_angle(phi - t + 2.0 * u)
-    return [_seg(t, _L, _F), _seg(u, _R, _F), _seg(u, _L, _B), _seg(v, _R, _B)]
+    return t, u, u, normalize_angle(phi - t + 2.0 * u)
 
 
-def _lrlr_neg(x, y, phi):
-    rho, theta = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _lrlr_neg(rho, theta, phi):
     u1 = (20.0 - rho * rho) / 16.0
     if rho > 6.0 or not 0.0 <= u1 <= 1.0:
         return None
@@ -147,74 +134,42 @@ def _lrlr_neg(x, y, phi):
         return None
     a = _asin(2.0 * math.sin(u) / rho)
     t = normalize_angle(theta + math.pi / 2.0 + a)
-    v = normalize_angle(t - phi)
-    return [_seg(t, _L, _F), _seg(u, _R, _B), _seg(u, _L, _B), _seg(v, _R, _F)]
+    return t, u, u, normalize_angle(t - phi)
 
 
-def _lrsl(x, y, phi):
-    rho, theta = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
+def _lrsl(rho, theta, phi):
     if rho < 2.0:
         return None
     u = math.sqrt(rho * rho - 4.0) - 2.0
     a = math.atan2(2.0, u + 2.0)
     t = normalize_angle(theta + math.pi / 2.0 + a)
-    v = normalize_angle(t - phi + math.pi / 2.0)
-    return [
-        _seg(t, _L, _F),
-        _seg(math.pi / 2.0, _R, _B),
-        _seg(u, _S, _B),
-        _seg(v, _L, _B),
-    ]
+    return t, math.pi / 2.0, u, normalize_angle(t - phi + math.pi / 2.0)
 
 
-def _lsrl(x, y, phi):
-    rho, theta = _polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
+def _lsrl(rho, theta, phi):
     if rho < 2.0:
         return None
     u = math.sqrt(rho * rho - 4.0) - 2.0
     a = math.atan2(u + 2.0, 2.0)
     t = normalize_angle(theta + math.pi / 2.0 - a)
-    v = normalize_angle(t - phi - math.pi / 2.0)
-    return [
-        _seg(t, _L, _F),
-        _seg(u, _S, _F),
-        _seg(math.pi / 2.0, _R, _F),
-        _seg(v, _L, _B),
-    ]
+    return t, u, math.pi / 2.0, normalize_angle(t - phi - math.pi / 2.0)
 
 
-def _lrsr(x, y, phi):
-    rho, theta = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _lrsr(rho, theta, phi):
     if rho < 2.0:
         return None
     t = normalize_angle(theta + math.pi / 2.0)
-    u = rho - 2.0
-    v = normalize_angle(phi - t - math.pi / 2.0)
-    return [
-        _seg(t, _L, _F),
-        _seg(math.pi / 2.0, _R, _B),
-        _seg(u, _S, _B),
-        _seg(v, _R, _B),
-    ]
+    return t, math.pi / 2.0, rho - 2.0, normalize_angle(phi - t - math.pi / 2.0)
 
 
-def _lslr(x, y, phi):
-    rho, theta = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _lslr(rho, theta, phi):
     if rho < 2.0:
         return None
     t = normalize_angle(theta)
-    u = rho - 2.0
-    v = normalize_angle(phi - t - math.pi / 2.0)
-    return [
-        _seg(t, _L, _F),
-        _seg(u, _S, _F),
-        _seg(math.pi / 2.0, _L, _F),
-        _seg(v, _R, _B),
-    ]
+    return t, rho - 2.0, math.pi / 2.0, normalize_angle(phi - t - math.pi / 2.0)
 
 
-def _lrslr(x, y, phi):
-    rho, theta = _polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
+def _lrslr(rho, theta, phi):
     if rho < 4.0:
         return None
     u = math.sqrt(rho * rho - 4.0) - 4.0
@@ -222,37 +177,37 @@ def _lrslr(x, y, phi):
         return None
     a = math.atan2(2.0, u + 4.0)
     t = normalize_angle(theta + math.pi / 2.0 + a)
-    v = normalize_angle(t - phi)
-    return [
-        _seg(t, _L, _F),
-        _seg(math.pi / 2.0, _R, _B),
-        _seg(u, _S, _B),
-        _seg(math.pi / 2.0, _L, _B),
-        _seg(v, _R, _F),
-    ]
+    return t, math.pi / 2.0, u, math.pi / 2.0, normalize_angle(t - phi)
 
 
-_WORD_FAMILIES = (
-    _lsl,
-    _lsr,
-    _lrl,
-    _lrl_rr,
-    _lrl_lr,
-    _lrlr_u,
-    _lrlr_neg,
-    _lrsl,
-    _lsrl,
-    _lrsr,
-    _lslr,
-    _lrslr,
+def _variant_patterns(word):
+    """Per variant (as is, timeflip, reflect, both): (turn, gear for a
+    nonnegative param, gear for a negative param) of every segment."""
+    return tuple(
+        tuple((Turn(turn_sign * t), Gear(gear_sign * g), Gear(-gear_sign * g)) for t, g in word)
+        for turn_sign, gear_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    )
+
+
+# (family, reads (x + sin phi, y - 1 - cos phi) rather than
+# (x - sin phi, y - 1 + cos phi), per-variant segment patterns)
+_FAMILIES = tuple(
+    (family, plus, _variant_patterns(word))
+    for family, plus, word in (
+        (_lsl, False, ((_L, _F), (_S, _F), (_L, _F))),
+        (_lsr, True, ((_L, _F), (_S, _F), (_R, _F))),
+        (_lrl, False, ((_L, _F), (_R, _B), (_L, _F))),
+        (_lrl_rr, False, ((_L, _F), (_R, _B), (_L, _B))),
+        (_lrl_lr, False, ((_L, _F), (_R, _F), (_L, _B))),
+        (_lrlr_u, True, ((_L, _F), (_R, _F), (_L, _B), (_R, _B))),
+        (_lrlr_neg, True, ((_L, _F), (_R, _B), (_L, _B), (_R, _F))),
+        (_lrsl, False, ((_L, _F), (_R, _B), (_S, _B), (_L, _B))),
+        (_lsrl, False, ((_L, _F), (_S, _F), (_R, _F), (_L, _B))),
+        (_lrsr, True, ((_L, _F), (_R, _B), (_S, _B), (_R, _B))),
+        (_lslr, True, ((_L, _F), (_S, _F), (_L, _F), (_R, _B))),
+        (_lrslr, True, ((_L, _F), (_R, _B), (_S, _B), (_L, _B), (_R, _F))),
+    )
 )
-
-def _timeflip(elements: list[_Element]) -> list[_Element]:
-    return [(p, turn, _GEAR_NEG[g]) for p, turn, g in elements]
-
-
-def _reflect(elements: list[_Element]) -> list[_Element]:
-    return [(p, _TURN_NEG[turn], g) for p, turn, g in elements]
 
 
 def _advance_unit(x, y, theta, element: _Element):
@@ -295,37 +250,56 @@ def _coincident(x: float, y: float, phi: float) -> bool:
     return abs(x) < 1e-12 and abs(y) < 1e-12 and abs(phi) < 1e-12
 
 
-def _raw_words(x: float, y: float, phi: float) -> list[list[_Element]]:
-    """Unverified candidate words from every family/variant, zero segments
-    dropped, in deterministic enumeration order."""
-    words = []
-    for family in _WORD_FAMILIES:
-        base = family(x, y, phi)
-        flip = family(-x, y, -phi)
-        mirror = family(x, -y, -phi)
-        both = family(-x, -y, phi)
-        for raw in (
-            base,
-            _timeflip(flip) if flip else None,
-            _reflect(mirror) if mirror else None,
-            _reflect(_timeflip(both)) if both else None,
-        ):
-            if not raw:
+def _raw_candidates(x: float, y: float, phi: float) -> list:
+    """Unverified (length, params, pattern) of every family/variant word with
+    a segment above 1e-12, in enumeration order."""
+    s, c = math.sin(phi), math.cos(phi)
+    s_neg, c_neg = math.sin(-phi), math.cos(-phi)
+    variants = []
+    for vx, vy, vphi, vs, vc in (
+        (x, y, phi, s, c),
+        (-x, y, -phi, s_neg, c_neg),
+        (x, -y, -phi, s_neg, c_neg),
+        (-x, -y, phi, s, c),
+    ):
+        mx, my = vx - vs, vy - 1.0 + vc
+        px, py = vx + vs, vy - 1.0 - vc
+        variants.append(
+            (
+                (math.hypot(mx, my), math.atan2(my, mx), vphi),
+                (math.hypot(px, py), math.atan2(py, px), vphi),
+            )
+        )
+    candidates = []
+    for family, plus, patterns in _FAMILIES:
+        for terms, pattern in zip(variants, patterns):
+            params = family(*terms[plus])
+            if params is None:
                 continue
-            elements = [e for e in raw if e[0] > 1e-12]
-            if elements:
-                words.append(elements)
-    return words
+            length = 0.0
+            for p in params:  # adds |p|, bit for bit, without an abs() call
+                if p > 1e-12:
+                    length += p
+                elif p < -1e-12:
+                    length -= p
+            if length:
+                candidates.append((length, params, pattern))
+    return candidates
 
 
-def _enumerate_words(x: float, y: float, phi: float) -> list[list[_Element]]:
-    return [w for w in _raw_words(x, y, phi) if _endpoint_matches(w, x, y, phi)]
+def _verified(params, pattern, x: float, y: float, phi: float) -> list[_Element] | None:
+    """The word's elements if it ends at (x, y, phi), else None."""
+    elements = [
+        (abs(p), turn, neg if p < 0.0 else gear)
+        for p, (turn, gear, neg) in zip(params, pattern)
+        if abs(p) > 1e-12
+    ]
+    return elements if _endpoint_matches(elements, x, y, phi) else None
 
 
-def _to_path(elements: list[_Element], turning_radius: float) -> RSPath:
+def _to_path(elements: list[_Element], length: float, turning_radius: float) -> RSPath:
     segments = tuple(RSSegment(turn, gear, p) for p, turn, gear in elements)
-    total = sum(s.length for s in segments) * turning_radius
-    return RSPath(segments, total)
+    return RSPath(segments, length * turning_radius)
 
 
 def rs_candidates(start: Pose, goal: Pose, turning_radius: float) -> list[RSPath]:
@@ -335,7 +309,12 @@ def rs_candidates(start: Pose, goal: Pose, turning_radius: float) -> list[RSPath
     x, y, phi = _normalized_goal(start, goal, turning_radius)
     if _coincident(x, y, phi):
         return [RSPath((), 0.0)]
-    return [_to_path(w, turning_radius) for w in _enumerate_words(x, y, phi)]
+    paths = []
+    for length, params, pattern in _raw_candidates(x, y, phi):
+        elements = _verified(params, pattern, x, y, phi)
+        if elements is not None:
+            paths.append(_to_path(elements, length, turning_radius))
+    return paths
 
 
 def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
@@ -347,16 +326,14 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
         return RSPath((), 0.0)
     # Verify lazily, shortest first; the stable sort preserves enumeration
     # order among equal lengths.
-    ranked = sorted(_raw_words(x, y, phi), key=lambda w: sum(e[0] for e in w))
-    for word in ranked:
-        if _endpoint_matches(word, x, y, phi):
-            return _to_path(word, turning_radius)
+    candidates = _raw_candidates(x, y, phi)
+    candidates.sort(key=itemgetter(0))
+    for length, params, pattern in candidates:
+        elements = _verified(params, pattern, x, y, phi)
+        if elements is not None:
+            return _to_path(elements, length, turning_radius)
     # Coincident poses: the empty word.
     return RSPath((), 0.0)
-
-
-def rs_length(start: Pose, goal: Pose, turning_radius: float) -> float:
-    return rs_shortest(start, goal, turning_radius).total_length
 
 
 def rs_sample(

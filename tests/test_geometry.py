@@ -181,6 +181,32 @@ class TestVehicleCollides:
         inside = body_to_world(pose, (CAR.front_extent - 1e-7, 0.0))
         assert vehicle_collides(pose, CAR, cover, ObstacleSet([inside]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_boundary_points_match_brute_force(self, n):
+        # The clipped query radius must keep every point the exact body-frame
+        # test accepts: corners, edge points, points nudged outward by a few
+        # rounding steps or more, and random points around the body.
+        cover = disk_cover(CAR, n)
+        rng = random.Random(300 + n)
+        rear, front, h = -CAR.rear_overhang, CAR.front_extent, CAR.width / 2.0
+        for _ in range(120):
+            theta = rng.choice((0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)))
+            pose = Pose(rng.uniform(-60, 60), rng.uniform(-60, 60), theta)
+            body = [(x, y) for x in (rear, front) for y in (-h, h)]
+            body += [(rng.uniform(rear, front), rng.choice((-h, h))) for _ in range(3)]
+            body += [(rng.choice((rear, front)), rng.uniform(-h, h)) for _ in range(3)]
+            for x, y in body[:4]:
+                eps = rng.choice((1e-14, 1e-12, 1e-9, 1e-6))
+                body.append((x + math.copysign(eps, x), y + math.copysign(eps, y)))
+            body += [
+                (rng.uniform(rear - 1, front + 1), rng.uniform(-h - 1, h + 1)) for _ in range(4)
+            ]
+            pts = [body_to_world(pose, p) for p in body]
+            expected = [point_in_rectangle(world_to_body(pose, pt), CAR) for pt in pts]
+            for pt, inside in zip(pts, expected):
+                assert vehicle_collides(pose, CAR, cover, ObstacleSet([pt])) == inside
+            assert vehicle_collides(pose, CAR, cover, ObstacleSet(pts)) == any(expected)
+
     def test_permutation_invariance(self):
         cover = disk_cover(CAR, 1)
         rng = random.Random(3)

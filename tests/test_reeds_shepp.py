@@ -21,6 +21,10 @@ def random_pose(rng, span=10.0):
     return Pose(rng.uniform(-span, span), rng.uniform(-span, span), rng.uniform(-math.pi, math.pi))
 
 
+def lattice_pose(rng):
+    return Pose(rng.randint(-4, 4) / 2, rng.randint(-4, 4) / 2, rng.randint(-4, 4) * math.pi / 4)
+
+
 def endpoint_error(path, start, goal, radius):
     samples = rs_sample(path, start, radius, 0.05)
     end = samples[-1][0]
@@ -70,6 +74,30 @@ class TestShortest:
             assert all(best.total_length <= c.total_length + 1e-9 for c in cands)
             assert len(best.segments) <= 5
             assert endpoint_error(best, a, b, rho) < 1e-6
+
+    def test_selection_contract(self):
+        # rs_shortest returns the first candidate, in enumeration order, of
+        # exactly the minimum length. Power-of-two radii scale lengths
+        # exactly, so a tie in meters is a tie in the normalized frame. Half
+        # the pairs sit on a coarse lattice, where distinct words tie often.
+        rng = random.Random(107)
+        distinct_ties = 0
+        for i in range(2000):
+            if i % 2:
+                a, b = lattice_pose(rng), lattice_pose(rng)
+            else:
+                a, b = random_pose(rng), random_pose(rng)
+            rho = rng.choice((0.5, 1.0, 2.0, 4.0))
+            best = rs_shortest(a, b, rho)
+            cands = rs_candidates(a, b, rho)
+            shortest = min(c.total_length for c in cands)
+            tied = [c for c in cands if c.total_length == shortest]
+            assert best.total_length == shortest
+            assert best == tied[0]
+            distinct_ties += any(c != tied[0] for c in tied)
+            assert rs_shortest(a, a, rho) == RSPath((), 0.0)
+            assert rs_candidates(b, b, rho) == [RSPath((), 0.0)]
+        assert distinct_ties > 100
 
     def test_symmetry(self):
         rng = random.Random(101)

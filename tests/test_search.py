@@ -269,6 +269,21 @@ class TestResultInvariants:
             for pose, _ in result.path:
                 assert not vehicle_collides(pose, scenario.vehicle, cover, scenario.obstacles)
 
+    def test_benchmark_search_trace_pinned(self, benchmark_results):
+        # Speed-ups of any layer must leave every search decision unchanged:
+        # expansion and iteration counts, termination and path length.
+        expected = {
+            ("forward", "mhha"): (704, 705, 17.812887),
+            ("forward", "hybrid"): (1559, 1560, 18.317931),
+            ("backward", "mhha"): (299, 300, 16.137860),
+            ("backward", "hybrid"): (1204, 1205, 16.263515),
+        }
+        for case, (nodes, iterations, length) in expected.items():
+            result = benchmark_results[case]
+            assert (result.nodes_expanded, result.iterations) == (nodes, iterations), case
+            assert result.termination is Termination.RS_SHORTCUT, case
+            assert result.path_length == pytest.approx(length, abs=1e-6), case
+
     def test_expansion_trace_counts_match(self, benchmark_results):
         for result in benchmark_results.values():
             assert result.trace is not None
