@@ -82,30 +82,12 @@ def discretize(pose: Pose, gear: Gear, spec: GridSpec) -> CellKey:
     return CellKey(ix, iy, spec.heading_bin(pose.theta), gear)
 
 
-def build_occupancy(
-    spec: GridSpec, obstacles: ObstacleSet, inflation: float = 0.0
-) -> np.ndarray:
-    """Boolean (nx, ny) mask: a cell is blocked iff an obstacle point lies in
-    the cell or within `inflation` of its center."""
-    if inflation < 0.0:
-        raise ValueError("inflation must be >= 0")
+def build_occupancy(spec: GridSpec, obstacles: ObstacleSet) -> np.ndarray:
+    """Boolean (nx, ny) mask: a cell is blocked iff an obstacle point lies in it."""
     blocked = np.zeros((spec.nx, spec.ny), dtype=bool)
-    cs = spec.cell_size
     for px, py in obstacles.points:
         if spec.contains(px, py):
-            ix, iy = spec.cell_of(px, py)
-            blocked[ix, iy] = True
-        if inflation == 0.0:
-            continue
-        i0 = max(0, int(math.floor((px - inflation - spec.x_min) / cs)) - 1)
-        i1 = min(spec.nx - 1, int(math.floor((px + inflation - spec.x_min) / cs)) + 1)
-        j0 = max(0, int(math.floor((py - inflation - spec.y_min) / cs)) - 1)
-        j1 = min(spec.ny - 1, int(math.floor((py + inflation - spec.y_min) / cs)) + 1)
-        for ix in range(i0, i1 + 1):
-            for iy in range(j0, j1 + 1):
-                cx, cy = spec.cell_center(ix, iy)
-                if (cx - px) ** 2 + (cy - py) ** 2 <= inflation * inflation:
-                    blocked[ix, iy] = True
+            blocked[spec.cell_of(px, py)] = True
     return blocked
 
 
@@ -155,7 +137,3 @@ def dijkstra_field(
     dist.setflags(write=False)
     return DistanceField(spec, dist, (gx, gy))
 
-
-def field_lookup(field: DistanceField, x: float, y: float) -> float:
-    """Nearest-cell value (no interpolation); raises WorkspaceError outside."""
-    return field.lookup(x, y)

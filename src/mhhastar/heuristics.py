@@ -42,9 +42,6 @@ class HeuristicSet:
     def anchor(self, state: Pose) -> float:
         return h_anchor(state, self.goal, self.field, self.turning_radius)
 
-    def value(self, i: int, state: Pose) -> float:
-        return self.scaled(i, self.anchor(state))
-
     def scaled(self, i: int, anchor_value: float) -> float:
         """Apply index i to an already-computed anchor value."""
         if i == 0:
@@ -53,11 +50,3 @@ class HeuristicSet:
             raise IndexError(f"heuristic index {i} out of range 0..{self.n}")
         return self.inflation_factors[i - 1] * anchor_value
 
-
-def h_index(i: int, state: Pose, heuristics: HeuristicSet) -> float:
-    return heuristics.value(i, state)
-
-
-def key(node, i: int, heuristics: HeuristicSet) -> float:
-    """Total cost estimate g + h_i used as the open-list priority."""
-    return node.g + heuristics.value(i, node.pose)

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 from .geometry import ObstacleSet, Pose, VehicleGeometry, disk_cover, vehicle_collides
 from .grid import GridSpec
-from .search import SearchConfig
+from .search import SearchConfig, config_problems
 from .vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
+
+WALL_POINT_SPACING = 0.1  # [m] between sampled wall points
 
 
 class ScenarioError(ValueError):
@@ -95,7 +96,6 @@ def build_parallel_parking(
     start: Pose,
     goal: Pose,
     search: SearchConfig | None = None,
-    point_spacing: float = 0.1,
     extra_points: Sequence[tuple[float, float]] = (),
 ) -> Scenario:
     """Deterministically assemble the parallel-parking scenario."""
@@ -103,7 +103,7 @@ def build_parallel_parking(
     right = spot.center_x + spot.length / 2.0
     if left < workspace.x_min or right > workspace.x_max:
         raise ValueError("spot extends outside the workspace")
-    points = _parking_walls(workspace, spot, goal, point_spacing)
+    points = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING)
     points += [(float(x), float(y)) for x, y in extra_points]
     return Scenario(
         workspace=workspace,
@@ -168,257 +168,192 @@ def validate(scenario: Scenario) -> list[str]:
     for x, y in scenario.obstacles.points:
         if not ws.contains(x, y):
             out.append(f"obstacle point ({x:.3f}, {y:.3f}) outside workspace")
-    if cfg.omega_factor < 1.0:
-        out.append("omega_factor < 1")
-    if cfg.setvalue < 1:
-        out.append("setvalue < 1")
-    if cfg.max_iterations < 1:
-        out.append("max_iterations < 1")
-    for i, f in enumerate(cfg.inflation_factors, start=1):
-        if f < 1.0:
-            out.append(f"inflation factor #{i} < 1")
-    pen = cfg.penalties
-    if pen.reverse_mult < 1.0:
-        out.append("penalties.reverse_mult < 1 (breaks heuristic admissibility)")
-    for name in ("switchback", "steer_change", "steer_hold"):
-        if getattr(pen, name) < 0.0:
-            out.append(f"penalties.{name} < 0")
+    out += config_problems(cfg)
     prim = cfg.primitives
     diag = ws.cell_size * math.sqrt(2.0)
-    if prim.arc_length <= diag:
+    if not prim.arc_length > diag:
         out.append(
             f"arc_length {prim.arc_length} does not exceed the cell diagonal {diag:.4f}"
         )
     for steer in prim.steering_angles:
         if abs(steer) > scenario.limits.phi_max:
             out.append(f"steering angle {steer} exceeds phi_max {scenario.limits.phi_max}")
-    if cfg.rs_spacing > 0.1:
-        out.append("rs_spacing > 0.1")
-    if cfg.occupancy_inflation < 0.0:
-        out.append("occupancy_inflation < 0")
-    elif cfg.occupancy_inflation > 0.0:
-        # legal, but the field heuristic may then overestimate
-        warnings.warn(
-            "occupancy_inflation > 0 can break heuristic admissibility",
-            stacklevel=2,
-        )
     return out
 
 
 # -- scenario files --------------------------------------------------------------
 
-_SCHEMA_TOP = {"workspace", "vehicle", "spot", "start", "goal", "search", "obstacles"}
-_SCHEMA_WORKSPACE = {"x_min", "x_max", "y_min", "y_max", "cell_size", "heading_bins"}
-_SCHEMA_VEHICLE = {"length", "width", "wheelbase", "rear_overhang", "phi_max"}
-_SCHEMA_SPOT = {"depth", "length", "center_x"}
-_SCHEMA_POSE = {"x", "y", "theta"}
-_SCHEMA_SEARCH = {
-    "omega_factor",
-    "setvalue",
-    "inflation_factors",
-    "penalties",
-    "arc_length",
-    "steering_angles",
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}: expected a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: expected a finite number")
+    return number
+
+
+def _integer(value, where: str) -> int:
+    if not _number(value, where).is_integer():
+        raise ScenarioError(f"{where}: expected an integer")
+    return int(value)
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list of numbers")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _points(value, where: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list of [x, y] pairs")
+    out = []
+    for i, item in enumerate(value):
+        at = f"{where}[{i}]"
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ScenarioError(f"{at}: expected an [x, y] pair")
+        out.append((_number(item[0], at), _number(item[1], at)))
+    return tuple(out)
+
+
+def _defaults(*classes) -> dict:
+    """Declared field defaults; a key that has none is required."""
+    out = {}
+    for f in (f for cls in classes for f in fields(cls)):
+        if f.default is not MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not MISSING:
+            out[f.name] = f.default_factory()
+    return out
+
+
+# The file layout, in file order: section -> (defaults, key -> reader). A
+# reader validates and converts one value; a string names a nested section.
+_POSE = (_defaults(Pose), {"x": _number, "y": _number, "theta": _number})
+_SCHEMA = {
+    "workspace": (_defaults(GridSpec), {
+        "x_min": _number, "x_max": _number, "y_min": _number, "y_max": _number,
+        "cell_size": _number, "heading_bins": _integer,
+    }),
+    "vehicle": (_defaults(VehicleGeometry, VehicleLimits), {
+        "length": _number, "width": _number, "wheelbase": _number,
+        "rear_overhang": _number, "phi_max": _number,
+    }),
+    "start": _POSE,
+    "goal": _POSE,
+    "search": (_defaults(SearchConfig, MotionPrimitiveSet), {
+        "omega_factor": _number, "setvalue": _integer, "max_iterations": _integer,
+        "inflation_factors": _numbers, "penalties": "search.penalties",
+        "arc_length": _number, "steering_angles": _numbers,
+    }),
+    "search.penalties": (_defaults(PenaltyConfig), dict.fromkeys(
+        ("reverse_mult", "switchback", "steer_hold", "steer_change"), _number
+    )),
+    "obstacles": (_defaults(Scenario), {"extra_points": _points}),
+    "spot": (_defaults(SpotSpec), {"depth": _number, "length": _number, "center_x": _number}),
 }
-_SCHEMA_PENALTIES = {"reverse_mult", "switchback", "steer_change"}
-_SCHEMA_OBSTACLES = {"extra_points"}
+_REQUIRED_SECTIONS = ("workspace", "vehicle", "start", "goal")
 
 
-def _expect_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
+def _check_keys(mapping, allowed, where: str) -> None:
+    if not isinstance(mapping, dict):
         raise ScenarioError(f"{where}: expected an object")
-    return value
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(str(k) for k in mapping if k not in allowed)
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _number(mapping: dict, key: str, where: str, default=None) -> float:
-    if key not in mapping:
-        if default is None:
-            raise ScenarioError(f"{where}.{key}: missing required value")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number")
-    return float(value)
+def _read(mapping, section: str) -> dict:
+    """One section's values keyed as in the file, defaults filled in."""
+    defaults, readers = _SCHEMA[section]
+    _check_keys(mapping, readers, section)
+    out = {}
+    for key, reader in readers.items():
+        where = f"{section}.{key}"
+        if isinstance(reader, str):
+            out[key] = _read(mapping.get(key, {}), reader)
+        elif key in mapping:
+            out[key] = reader(mapping[key], where)
+        elif key in defaults:
+            out[key] = defaults[key]
+        else:
+            raise ScenarioError(f"{where}: missing required value")
+    return out
 
 
-def _pose(mapping: dict, where: str) -> Pose:
-    _reject_unknown(_expect_mapping(mapping, where), _SCHEMA_POSE, where)
-    return Pose(
-        _number(mapping, "x", where),
-        _number(mapping, "y", where),
-        _number(mapping, "theta", where),
-    )
+def _build(section: str, cls, **values):
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ScenarioError(f"{section}: {e}") from e
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from the documented JSON structure; unknown keys are
-    rejected with a dotted-path diagnostic."""
-    _reject_unknown(_expect_mapping(data, "scenario"), _SCHEMA_TOP, "scenario")
-    for required in ("workspace", "vehicle", "start", "goal"):
-        if required not in data:
-            raise ScenarioError(f"scenario.{required}: missing required section")
-
-    w = _expect_mapping(data["workspace"], "workspace")
-    _reject_unknown(w, _SCHEMA_WORKSPACE, "workspace")
-    try:
-        workspace = GridSpec(
-            _number(w, "x_min", "workspace"),
-            _number(w, "x_max", "workspace"),
-            _number(w, "y_min", "workspace"),
-            _number(w, "y_max", "workspace"),
-            _number(w, "cell_size", "workspace", 0.3),
-            int(_number(w, "heading_bins", "workspace", 72)),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"workspace: {e}") from e
-
-    v = _expect_mapping(data["vehicle"], "vehicle")
-    _reject_unknown(v, _SCHEMA_VEHICLE, "vehicle")
-    try:
-        vehicle = VehicleGeometry(
-            length=_number(v, "length", "vehicle"),
-            width=_number(v, "width", "vehicle"),
-            wheelbase=_number(v, "wheelbase", "vehicle"),
-            rear_overhang=_number(v, "rear_overhang", "vehicle"),
-        )
-        limits = VehicleLimits(phi_max=_number(v, "phi_max", "vehicle", 0.6))
-    except ValueError as e:
-        raise ScenarioError(f"vehicle: {e}") from e
-
-    spot = None
-    if "spot" in data:
-        sp = _expect_mapping(data["spot"], "spot")
-        _reject_unknown(sp, _SCHEMA_SPOT, "spot")
-        try:
-            spot = SpotSpec(
-                depth=_number(sp, "depth", "spot"),
-                length=_number(sp, "length", "spot"),
-                center_x=_number(sp, "center_x", "spot"),
-            )
-        except ValueError as e:
-            raise ScenarioError(f"spot: {e}") from e
-
-    start = _pose(data["start"], "start")
-    goal = _pose(data["goal"], "goal")
-
-    s = _expect_mapping(data.get("search", {}), "search")
-    _reject_unknown(s, _SCHEMA_SEARCH, "search")
-    p = _expect_mapping(s.get("penalties", {}), "search.penalties")
-    _reject_unknown(p, _SCHEMA_PENALTIES, "search.penalties")
-    defaults = SearchConfig()
-    penalties = PenaltyConfig(
-        reverse_mult=_number(p, "reverse_mult", "search.penalties", defaults.penalties.reverse_mult),
-        switchback=_number(p, "switchback", "search.penalties", defaults.penalties.switchback),
-        steer_change=_number(p, "steer_change", "search.penalties", defaults.penalties.steer_change),
+    """Build a Scenario from the documented JSON structure; every malformed
+    value raises ScenarioError naming its dotted key."""
+    _check_keys(data, (*_REQUIRED_SECTIONS, "search", "obstacles", "spot"), "scenario")
+    for name in _REQUIRED_SECTIONS:
+        if name not in data:
+            raise ScenarioError(f"scenario.{name}: missing required section")
+    workspace = _build("workspace", GridSpec, **_read(data["workspace"], "workspace"))
+    v = _read(data["vehicle"], "vehicle")
+    limits = _build("vehicle", VehicleLimits, phi_max=v.pop("phi_max"))
+    vehicle = _build("vehicle", VehicleGeometry, **v)
+    spot = _build("spot", SpotSpec, **_read(data["spot"], "spot")) if "spot" in data else None
+    start = Pose(**_read(data["start"], "start"))
+    goal = Pose(**_read(data["goal"], "goal"))
+    s = _read(data.get("search", {}), "search")
+    penalties = PenaltyConfig(**s.pop("penalties"))
+    primitives = _build(
+        "search", MotionPrimitiveSet,
+        arc_length=s.pop("arc_length"), steering_angles=s.pop("steering_angles"),
     )
-    factors = s.get("inflation_factors", list(defaults.inflation_factors))
-    if not isinstance(factors, list) or any(
-        isinstance(f, bool) or not isinstance(f, (int, float)) for f in factors
-    ):
-        raise ScenarioError("search.inflation_factors: expected a list of numbers")
-    steering = s.get("steering_angles", list(defaults.primitives.steering_angles))
-    if not isinstance(steering, list) or any(
-        isinstance(a, bool) or not isinstance(a, (int, float)) for a in steering
-    ):
-        raise ScenarioError("search.steering_angles: expected a list of numbers")
-    try:
-        primitives = MotionPrimitiveSet(
-            arc_length=_number(s, "arc_length", "search", defaults.primitives.arc_length),
-            steering_angles=tuple(float(a) for a in steering),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"search: {e}") from e
-    search = SearchConfig(
-        omega_factor=_number(s, "omega_factor", "search", defaults.omega_factor),
-        setvalue=int(_number(s, "setvalue", "search", defaults.setvalue)),
-        penalties=penalties,
-        primitives=primitives,
-        inflation_factors=tuple(float(f) for f in factors),
-    )
-
-    extra: list[tuple[float, float]] = []
-    if "obstacles" in data:
-        o = _expect_mapping(data["obstacles"], "obstacles")
-        _reject_unknown(o, _SCHEMA_OBSTACLES, "obstacles")
-        raw = o.get("extra_points", [])
-        if not isinstance(raw, list):
-            raise ScenarioError("obstacles.extra_points: expected a list of [x, y] pairs")
-        for idx, item in enumerate(raw):
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in item)
-            ):
-                raise ScenarioError(
-                    f"obstacles.extra_points[{idx}]: expected an [x, y] pair"
-                )
-            extra.append((float(item[0]), float(item[1])))
-
-    points: list[tuple[float, float]] = []
-    if spot is not None:
-        points += _parking_walls(workspace, spot, goal, 0.1)
-    points += extra
+    extra = _read(data.get("obstacles", {}), "obstacles")["extra_points"]
+    points = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING) if spot is not None else []
     return Scenario(
         workspace=workspace,
-        obstacles=ObstacleSet(points),
+        obstacles=ObstacleSet(points + list(extra)),
         spot=spot,
         start=start,
         goal=goal,
         vehicle=vehicle,
         limits=limits,
-        search=search,
-        extra_points=tuple(extra),
+        search=SearchConfig(**s, penalties=penalties, primitives=primitives),
+        extra_points=extra,
     )
 
 
+def _write(section: str, *sources) -> dict:
+    """One section in file order; each key is read from the first source
+    object that has it."""
+    out = {}
+    for key, reader in _SCHEMA[section][1].items():
+        value = next(getattr(src, key) for src in sources if hasattr(src, key))
+        out[key] = _write(reader, value) if isinstance(reader, str) else _plain(value)
+    return out
+
+
+def _plain(value):
+    """JSON form of a value: tuples (number lists, point lists) become lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    ws = scenario.workspace
     cfg = scenario.search
-    data: dict = {
-        "workspace": {
-            "x_min": ws.x_min,
-            "x_max": ws.x_max,
-            "y_min": ws.y_min,
-            "y_max": ws.y_max,
-            "cell_size": ws.cell_size,
-            "heading_bins": ws.heading_bins,
-        },
-        "vehicle": {
-            "length": scenario.vehicle.length,
-            "width": scenario.vehicle.width,
-            "wheelbase": scenario.vehicle.wheelbase,
-            "rear_overhang": scenario.vehicle.rear_overhang,
-            "phi_max": scenario.limits.phi_max,
-        },
-        "start": {"x": scenario.start.x, "y": scenario.start.y, "theta": scenario.start.theta},
-        "goal": {"x": scenario.goal.x, "y": scenario.goal.y, "theta": scenario.goal.theta},
-        "search": {
-            "omega_factor": cfg.omega_factor,
-            "setvalue": cfg.setvalue,
-            "inflation_factors": list(cfg.inflation_factors),
-            "penalties": {
-                "reverse_mult": cfg.penalties.reverse_mult,
-                "switchback": cfg.penalties.switchback,
-                "steer_change": cfg.penalties.steer_change,
-            },
-            "arc_length": cfg.primitives.arc_length,
-            "steering_angles": list(cfg.primitives.steering_angles),
-        },
-        "obstacles": {"extra_points": [list(p) for p in scenario.extra_points]},
+    sources = {
+        "workspace": (scenario.workspace,),
+        "vehicle": (scenario.vehicle, scenario.limits),
+        "start": (scenario.start,),
+        "goal": (scenario.goal,),
+        "search": (cfg, cfg.primitives),
+        "obstacles": (scenario,),
+        "spot": (scenario.spot,),
     }
-    if scenario.spot is not None:
-        data["spot"] = {
-            "depth": scenario.spot.depth,
-            "length": scenario.spot.length,
-            "center_x": scenario.spot.center_x,
-        }
-    return data
+    return {name: _write(name, *objs) for name, objs in sources.items() if objs[0] is not None}
 
 
 def load_scenario(path) -> Scenario:

@@ -25,7 +25,7 @@ from .geometry import (
     disk_cover,
     vehicle_collides,
 )
-from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field
+from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
 from .heuristics import HeuristicSet
 from .reeds_shepp import RSPath, rs_collision_free, rs_sample, rs_shortest
 from .vehicle import (
@@ -62,13 +62,8 @@ class SearchNode:
     bp: "SearchNode | None"
     step_length: float = 0.0
     h_anchor: float = 0.0
-    closed_anchor: bool = False
-    closed_inadmissible: bool = False
+    closed: bool = False
     version: int = 0  # bumped on every reinsert/removal; stale heap entries skip
-
-    @property
-    def direction(self) -> Gear:
-        return self.gear
 
 
 class OpenList:
@@ -106,8 +101,9 @@ class OpenList:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Planner knobs; `validate` in the scenario module enumerates violations,
-    the planner itself rejects values that would break its guarantees."""
+    """Planner knobs. Their rules live in `config_problems` alone: the
+    planner raises on any problem it lists, and `scenario.validate` reports
+    them next to the checks that need the workspace and the vehicle."""
 
     omega_factor: float = 2.0
     setvalue: int = 5
@@ -115,9 +111,6 @@ class SearchConfig:
     penalties: PenaltyConfig = field(default_factory=PenaltyConfig)
     primitives: MotionPrimitiveSet = field(default_factory=MotionPrimitiveSet)
     inflation_factors: tuple[float, ...] = (2.0,)
-    rs_spacing: float = 0.1
-    occupancy_inflation: float = 0.0  # >0 can make the field heuristic overestimate
-    smha_split_closing: bool = False  # close per-queue instead of everywhere
 
 
 @dataclass
@@ -144,22 +137,25 @@ class PlanResult:
         return self.termination is not Termination.NO_SOLUTION
 
 
-def _check_config(config: SearchConfig) -> None:
-    problems = []
-    if config.omega_factor < 1.0:
-        problems.append("omega_factor < 1")
-    if config.setvalue < 1:
-        problems.append("setvalue < 1")
-    if config.max_iterations < 1:
-        problems.append("max_iterations < 1")
-    if config.penalties.reverse_mult < 1.0:
-        problems.append("reverse_mult < 1 breaks heuristic admissibility")
-    if any(f < 1.0 for f in config.inflation_factors):
-        problems.append("inflation factors must be >= 1")
-    if config.occupancy_inflation < 0.0:
-        problems.append("occupancy_inflation < 0")
-    if problems:
-        raise ValueError("invalid search config: " + "; ".join(problems))
+def config_problems(config: SearchConfig) -> list[str]:
+    """Every rule `config` breaks, empty when the planner accepts it. Each
+    test is written as "ok" so that NaN fails it."""
+    pen = config.penalties
+    checks = [
+        (config.omega_factor >= 1.0, "omega_factor < 1"),
+        (config.setvalue >= 1, "setvalue < 1"),
+        (config.max_iterations >= 1, "max_iterations < 1"),
+        *(
+            (f >= 1.0, f"inflation factor #{i} < 1")
+            for i, f in enumerate(config.inflation_factors, start=1)
+        ),
+        (pen.reverse_mult >= 1.0, "penalties.reverse_mult < 1 (breaks heuristic admissibility)"),
+        *(
+            (getattr(pen, name) >= 0.0, f"penalties.{name} < 0")
+            for name in ("switchback", "steer_change", "steer_hold")
+        ),
+    ]
+    return [message for ok, message in checks if not ok]
 
 
 class _Search:
@@ -177,7 +173,7 @@ class _Search:
         self.turning_radius = scenario.limits.turning_radius(self.wheelbase)
 
         t0 = time.perf_counter()
-        occupancy = build_occupancy(self.spec, self.obstacles, config.occupancy_inflation)
+        occupancy = build_occupancy(self.spec, self.obstacles)
         goal_cell_free = not occupancy[self.spec.cell_of(goal.x, goal.y)]
         self.field: DistanceField | None = (
             dijkstra_field(self.spec, occupancy, (goal.x, goal.y))
@@ -202,13 +198,11 @@ class _Search:
     # -- node bookkeeping ---------------------------------------------------
 
     def _insert(self, node: SearchNode) -> None:
-        """(Re)insert a node into the anchor queue and, unless it is closed
-        for them, into every inadmissible queue."""
+        """(Re)insert an open node into every queue."""
         node.version += 1
         self.open.push(0, node.g + node.h_anchor, node)
-        if not node.closed_inadmissible:
-            for i in range(1, self.n + 1):
-                self.open.push(i, node.g + self.heuristics.scaled(i, node.h_anchor), node)
+        for i in range(1, self.n + 1):
+            self.open.push(i, node.g + self.heuristics.scaled(i, node.h_anchor), node)
         if node.cell[:3] == self.goal_xyt and node not in self.goal_nodes:
             self.goal_nodes.append(node)
 
@@ -224,17 +218,10 @@ class _Search:
 
     # -- core operations ----------------------------------------------------
 
-    def expand_node(self, s: SearchNode, from_queue: int) -> None:
+    def expand_node(self, s: SearchNode) -> None:
         """Remove s from every open queue, close it, and relax its successors."""
         s.version += 1  # drops every live heap entry for s
-        if self.config.smha_split_closing:
-            if from_queue == 0:
-                s.closed_anchor = True
-            else:
-                s.closed_inadmissible = True
-        else:
-            s.closed_anchor = True
-            s.closed_inadmissible = True
+        s.closed = True
         self.expansions += 1
         if self.trace is not None:
             self.trace.append((s.bp.pose if s.bp is not None else None, s.pose, s.cell))
@@ -244,19 +231,15 @@ class _Search:
             end = step.end_pose
             if not self.spec.contains(end.x, end.y):
                 continue
-            cell = CellKey(
-                *self.spec.cell_of(end.x, end.y),
-                self.spec.heading_bin(end.theta),
-                step.direction,
-            )
+            cell = discretize(end, step.gear, self.spec)
             existing = self.nodes.get(cell)
-            if existing is not None and existing.closed_anchor:
+            if existing is not None and existing.closed:
                 continue
             if math.isinf(self.field.values[cell.ix, cell.iy]):
                 continue  # walled off; the anchor heuristic would be infinite
             mid = advance_arc(
                 s.pose,
-                step.direction,
+                step.gear,
                 math.tan(step.steering) / self.wheelbase,
                 step.length / 2.0,
             )
@@ -266,7 +249,7 @@ class _Search:
             if existing is None:
                 node = SearchNode(
                     pose=end,
-                    gear=step.direction,
+                    gear=step.gear,
                     steering=step.steering,
                     cell=cell,
                     g=g_new,
@@ -295,7 +278,6 @@ class _Search:
             self.vehicle,
             self.cover,
             self.obstacles,
-            self.config.rs_spacing,
         ):
             return path
         return None
@@ -383,8 +365,7 @@ class _Search:
             pose=start,
             gear=Gear.FORWARD,
             steering=0.0,
-            cell=CellKey(*self.spec.cell_of(start.x, start.y),
-                         self.spec.heading_bin(start.theta), Gear.FORWARD),
+            cell=discretize(start, Gear.FORWARD, self.spec),
             g=0.0,
             bp=None,
             h_anchor=self.heuristics.anchor(start),
@@ -421,12 +402,14 @@ class _Search:
                         return self._result(
                             Termination.RS_SHORTCUT, time.perf_counter() - t0, s, tail
                         )
-                self.expand_node(s, use_i)
+                self.expand_node(s)
         return self._result(Termination.NO_SOLUTION, time.perf_counter() - t0)
 
 
 def _plan(start: Pose, goal: Pose, scenario, config: SearchConfig, n: int, trace: bool) -> PlanResult:
-    _check_config(config)
+    problems = config_problems(config)
+    if problems:
+        raise ValueError("invalid search config: " + "; ".join(problems))
     cover = disk_cover(scenario.vehicle, 1)
     if vehicle_collides(start, scenario.vehicle, cover, scenario.obstacles):
         raise ValueError("start pose is in collision")

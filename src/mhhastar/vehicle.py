@@ -31,23 +31,11 @@ class Gear(IntEnum):
 
 @dataclass(frozen=True)
 class VehicleLimits:
-    """State/control bounds. Only phi_max (steering angle) constrains the
-    geometric search; the rest are carried for completeness."""
+    """Steering bound; the geometric search is limited by phi_max alone."""
 
-    a_min: float = -2.0
-    a_max: float = 2.0
-    v_min: float = -2.0
-    v_max: float = 2.0
-    omega_max: float = 1.0
     phi_max: float = 0.6
 
     def __post_init__(self) -> None:
-        if not self.a_min < 0.0 < self.a_max:
-            raise ValueError("acceleration bounds must straddle zero")
-        if not self.v_min <= 0.0 <= self.v_max:
-            raise ValueError("velocity bounds must straddle zero")
-        if self.omega_max <= 0.0:
-            raise ValueError("omega_max must be positive")
         if not 0.0 < self.phi_max < math.pi / 2.0:
             raise ValueError("phi_max must lie in (0, pi/2)")
 
@@ -58,11 +46,10 @@ class VehicleLimits:
 
 @dataclass(frozen=True)
 class MotionPrimitiveSet:
-    """One expansion step per (direction, steering) combination."""
+    """One expansion step per (gear, steering) combination."""
 
     arc_length: float = 0.5
     steering_angles: tuple[float, ...] = (-0.6, 0.0, 0.6)
-    directions: tuple[Gear, ...] = (Gear.FORWARD, Gear.REVERSE)
 
     def __post_init__(self) -> None:
         if self.arc_length <= 0.0:
@@ -73,7 +60,7 @@ class MotionPrimitiveSet:
 class MotionStep:
     """A single applied primitive: where it ends and how it was driven."""
 
-    direction: Gear
+    gear: Gear
     steering: float
     end_pose: Pose
     length: float
@@ -118,7 +105,7 @@ def advance_arc(start: Pose, gear: Gear, curvature: float, ds: float) -> Pose:
 
 def integrate_arc(
     start: Pose,
-    direction: Gear,
+    gear: Gear,
     steering: float,
     ds: float,
     wheelbase: float,
@@ -133,7 +120,7 @@ def integrate_arc(
         raise ValueError("ds must be positive")
     if phi_max is not None and abs(steering) > phi_max:
         raise ValueError(f"steering {steering} exceeds limit {phi_max}")
-    return advance_arc(start, direction, math.tan(steering) / wheelbase, ds)
+    return advance_arc(start, gear, math.tan(steering) / wheelbase, ds)
 
 
 def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[MotionStep]:
@@ -141,7 +128,7 @@ def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[
     steering angles in listed order."""
     pose = state.pose
     steps = []
-    for gear in primitives.directions:
+    for gear in (Gear.FORWARD, Gear.REVERSE):
         for steer in primitives.steering_angles:
             end = integrate_arc(pose, gear, steer, primitives.arc_length, wheelbase)
             steps.append(MotionStep(gear, steer, end, primitives.arc_length))
@@ -149,11 +136,11 @@ def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[
 
 
 def step_cost(step: MotionStep, previous, penalties: PenaltyConfig) -> float:
-    """Arc length plus penalties; `previous` needs .direction and .steering
+    """Arc length plus penalties; `previous` needs .gear and .steering
     (a MotionStep or a search node), or None at the path start."""
-    cost = step.length * (penalties.reverse_mult if step.direction is Gear.REVERSE else 1.0)
+    cost = step.length * (penalties.reverse_mult if step.gear is Gear.REVERSE else 1.0)
     if previous is not None:
-        if step.direction != previous.direction:
+        if step.gear != previous.gear:
             cost += penalties.switchback
         cost += penalties.steer_change * abs(step.steering - previous.steering)
     cost += penalties.steer_hold * abs(step.steering)

@@ -116,10 +116,6 @@ def uniform_cost_over_primitives(
             self.gear = gear
             self.steering = steering
 
-        @property
-        def direction(self):
-            return self.gear
-
     start_cell = CellKey(
         *spec.cell_of(start_pose.x, start_pose.y),
         spec.heading_bin(start_pose.theta),
@@ -143,7 +139,7 @@ def uniform_cost_over_primitives(
             child_cell = CellKey(
                 *spec.cell_of(end.x, end.y),
                 spec.heading_bin(end.theta),
-                step.direction,
+                step.gear,
             )
             if child_cell in settled:
                 continue
@@ -153,6 +149,6 @@ def uniform_cost_over_primitives(
                 counter += 1
                 heapq.heappush(
                     heap,
-                    (g_new, counter, _State(end, step.direction, step.steering), child_cell, False),
+                    (g_new, counter, _State(end, step.gear, step.steering), child_cell, False),
                 )
     return settled

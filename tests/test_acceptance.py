@@ -155,7 +155,7 @@ def test_criterion_6_heuristic_admissibility(coarse_scenario, coarse_field, coar
         assert heuristics.anchor(pose) <= g + 1e-9, (pose, g)
         checked += 1
     for i in range(heuristics.n + 1):
-        assert heuristics.value(i, coarse_scenario.goal) == 0.0
+        assert heuristics.scaled(i, heuristics.anchor(coarse_scenario.goal)) == 0.0
     assert checked >= 1000
     print(f"ACCEPTANCE 6 (admissibility): PASS  {checked} reachable states certified")
 

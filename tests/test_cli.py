@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -192,3 +193,35 @@ class TestRender:
         assert result.termination is Termination.RS_SHORTCUT
         gears = {g for _, g in result.path}
         assert gears <= {Gear.FORWARD, Gear.REVERSE}
+
+
+# sha256 of the `compare` outputs for the four benchmark runs: the path text
+# and the SVG, which draws the whole expansion tree in expansion order.
+# Refactors that must keep every search decision keep these bytes.
+PINNED_OUTPUT_SHA256 = {
+    ("forward", "mhha"): (
+        "a199e7aa5d4458d41a1a1d2e2bfd79c622186c3139cebc4dcbe9777ce3a5e1f8",
+        "d413636ac37620a00e82b9f8692544159ac17dbd62134818b29012f1d7ad561b",
+    ),
+    ("forward", "hybrid"): (
+        "ad2361e80ffda0a00ccab531406176d9cd78eeb653cb8ddae2b6c0c0baccb5f0",
+        "82ece78a523814742051dbe78061113305c6f9677d92fd0bc65f03a01a629ecd",
+    ),
+    ("backward", "mhha"): (
+        "8af4cbc2557f6ef84f4068d533b5d95b0e52cd5fabd205f5e98e74741f716d51",
+        "58ab316ee916ec2076e258e14d4fe16af7ed1d9a6f85498add1b63c963d2e2ba",
+    ),
+    ("backward", "hybrid"): (
+        "319965393ad8f7cc98c7700d903422430644ce953d3c45c1ca3aa9c58770a147",
+        "399363a00b4365c1b2be09cd2512c4c5fcc941b8f7f0a89bdac7a47922420bf2",
+    ),
+}
+
+
+def test_benchmark_outputs_byte_identical(forward_scenario, backward_scenario, benchmark_results):
+    scenarios = {"forward": forward_scenario, "backward": backward_scenario}
+    for case, (path_sha, svg_sha) in PINNED_OUTPUT_SHA256.items():
+        result = benchmark_results[case]
+        svg = render_svg(scenarios[case[0]], result)
+        assert hashlib.sha256(path_lines(result).encode()).hexdigest() == path_sha, case
+        assert hashlib.sha256(svg.encode()).hexdigest() == svg_sha, case

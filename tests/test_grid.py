@@ -12,7 +12,6 @@ from mhhastar.grid import (
     build_occupancy,
     dijkstra_field,
     discretize,
-    field_lookup,
 )
 from mhhastar.vehicle import Gear
 
@@ -73,21 +72,6 @@ class TestOccupancy:
         mask = build_occupancy(self.SMALL, ObstacleSet([center]))
         assert mask[2, 1]
         assert mask.sum() == 1
-
-    def test_inflation_matches_brute_force(self):
-        pt = (1.3, 1.7)
-        inflation = 1.0
-        mask = build_occupancy(self.SMALL, ObstacleSet([pt]), inflation)
-        for ix in range(self.SMALL.nx):
-            for iy in range(self.SMALL.ny):
-                cx, cy = self.SMALL.cell_center(ix, iy)
-                in_cell = self.SMALL.cell_of(*pt) == (ix, iy)
-                expected = in_cell or math.dist((cx, cy), pt) <= inflation
-                assert mask[ix, iy] == expected
-
-    def test_rejects_negative_inflation(self):
-        with pytest.raises(ValueError):
-            build_occupancy(self.SMALL, ObstacleSet([]), -0.1)
 
 
 def random_mask(rng, nx, ny, fill):
@@ -212,17 +196,17 @@ class TestFieldLookup:
         return dijkstra_field(self.SPEC, mask, (2.3, 2.3))
 
     def test_goal_zero(self):
-        assert field_lookup(self._field(), 2.3, 2.3) == 0.0
+        assert self._field().lookup(2.3, 2.3) == 0.0
 
     def test_same_cell_same_value(self):
         field = self._field()
-        assert field_lookup(field, 1.01, 1.01) == field_lookup(field, 1.24, 1.24)
+        assert field.lookup(1.01, 1.01) == field.lookup(1.24, 1.24)
 
     def test_blocked_cell_is_inf(self):
         mask = np.zeros((self.SPEC.nx, self.SPEC.ny), bool)
         mask[0, 0] = True
-        assert math.isinf(field_lookup(self._field(mask), 0.1, 0.1))
+        assert math.isinf(self._field(mask).lookup(0.1, 0.1))
 
     def test_outside_raises(self):
         with pytest.raises(WorkspaceError):
-            field_lookup(self._field(), 9.0, 0.0)
+            self._field().lookup(9.0, 0.0)

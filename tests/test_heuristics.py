@@ -6,7 +6,7 @@ import pytest
 
 from mhhastar.geometry import Pose
 from mhhastar.grid import GridSpec, dijkstra_field
-from mhhastar.heuristics import HeuristicSet, h_anchor, h_holonomic, h_index, h_nonholonomic, key
+from mhhastar.heuristics import HeuristicSet, h_anchor, h_holonomic, h_nonholonomic
 from mhhastar.reeds_shepp import rs_shortest
 
 from oracles import octile
@@ -64,26 +64,25 @@ class TestComponents:
 class TestHeuristicSet:
     def test_index_zero_is_anchor(self, hset):
         pose = Pose(-3.0, 4.0, 0.3)
-        assert hset.value(0, pose) == hset.anchor(pose)
+        assert hset.scaled(0, hset.anchor(pose)) == hset.anchor(pose)
 
     def test_inflation_is_exact_multiple(self, hset):
         pose = Pose(-3.0, 4.0, 0.3)
-        assert hset.value(1, pose) == 2.0 * hset.anchor(pose)
+        assert hset.scaled(1, hset.anchor(pose)) == 2.0 * hset.anchor(pose)
 
     def test_known_inflation_example(self, empty_field):
         hs = HeuristicSet(GOAL, empty_field, RADIUS, (2.0,))
         pose = Pose(GOAL.x - 4.0, GOAL.y, 0.0)
-        assert hs.value(0, pose) == pytest.approx(4.0)
-        assert hs.value(1, pose) == pytest.approx(8.0)
+        assert hs.scaled(0, hs.anchor(pose)) == pytest.approx(4.0)
+        assert hs.scaled(1, hs.anchor(pose)) == pytest.approx(8.0)
 
     def test_goal_grounding_all_indices(self, hset):
         for i in range(hset.n + 1):
-            assert hset.value(i, GOAL) == 0.0
-            assert h_index(i, GOAL, hset) == 0.0
+            assert hset.scaled(i, hset.anchor(GOAL)) == 0.0
 
     def test_index_out_of_range(self, hset):
         with pytest.raises(IndexError):
-            hset.value(2, GOAL)
+            hset.scaled(2, hset.anchor(GOAL))
 
     def test_ordering_matches_anchor(self, hset):
         rng = random.Random(56)
@@ -91,8 +90,8 @@ class TestHeuristicSet:
             Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
             for _ in range(50)
         ]
-        anchor_order = sorted(range(50), key=lambda i: hset.value(0, poses[i]))
-        inflated_order = sorted(range(50), key=lambda i: hset.value(1, poses[i]))
+        anchor_order = sorted(range(50), key=lambda i: hset.scaled(0, hset.anchor(poses[i])))
+        inflated_order = sorted(range(50), key=lambda i: hset.scaled(1, hset.anchor(poses[i])))
         assert anchor_order == inflated_order
 
 
@@ -102,19 +101,24 @@ class TestKey:
             self.g = g
             self.pose = pose
 
+    @staticmethod
+    def _key(node, i, hset):
+        # the open-list priority the search pushes: g + h_i
+        return node.g + hset.scaled(i, hset.anchor(node.pose))
+
     def test_sum(self, hset):
         pose = Pose(GOAL.x - 3.0, GOAL.y, 0.0)
         node = self._Node(2.0, pose)
-        assert key(node, 0, hset) == pytest.approx(2.0 + 3.0)
+        assert self._key(node, 0, hset) == pytest.approx(2.0 + 3.0)
 
     def test_at_goal_equals_g(self, hset):
         node = self._Node(7.5, GOAL)
-        assert key(node, 0, hset) == 7.5
-        assert key(node, 1, hset) == 7.5
+        assert self._key(node, 0, hset) == 7.5
+        assert self._key(node, 1, hset) == 7.5
 
     def test_inflated_key_dominates(self, hset):
         rng = random.Random(57)
         for _ in range(100):
             pose = Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
             node = self._Node(rng.uniform(0, 20), pose)
-            assert key(node, 1, hset) >= key(node, 0, hset)
+            assert self._key(node, 1, hset) >= self._key(node, 0, hset)

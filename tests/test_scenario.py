@@ -1,14 +1,24 @@
 import dataclasses
+import functools
 import json
+import math
+import operator
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mhhastar.geometry import Pose, disk_cover, vehicle_collides
+from mhhastar.geometry import ObstacleSet, Pose, disk_cover, vehicle_collides
 from mhhastar.scenario import (
     Scenario,
     ScenarioError,
     SpotSpec,
+    WALL_POINT_SPACING,
+    _parking_walls,
     backward_parking_scenario,
     build_parallel_parking,
     forward_parking_scenario,
@@ -18,6 +28,8 @@ from mhhastar.scenario import (
     scenario_to_dict,
     validate,
 )
+from mhhastar.search import SearchConfig
+from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig
 
 
 class TestBuild:
@@ -74,21 +86,18 @@ class TestBuild:
     def test_density_stability_along_plan(self, forward_scenario, benchmark_results):
         # doubling the wall point density must not change any collision
         # verdict along the planned path
-        dense = build_parallel_parking(
-            workspace=forward_scenario.workspace,
-            vehicle=forward_scenario.vehicle,
-            limits=forward_scenario.limits,
-            spot=forward_scenario.spot,
-            start=forward_scenario.start,
-            goal=forward_scenario.goal,
-            point_spacing=0.05,
-        )
+        dense = ObstacleSet(_parking_walls(
+            forward_scenario.workspace,
+            forward_scenario.spot,
+            forward_scenario.goal,
+            WALL_POINT_SPACING / 2.0,
+        ))
         cover = disk_cover(forward_scenario.vehicle, 1)
         for pose, _ in benchmark_results[("forward", "mhha")].path:
             sparse_hit = vehicle_collides(
                 pose, forward_scenario.vehicle, cover, forward_scenario.obstacles
             )
-            dense_hit = vehicle_collides(pose, dense.vehicle, cover, dense.obstacles)
+            dense_hit = vehicle_collides(pose, forward_scenario.vehicle, cover, dense)
             assert sparse_hit == dense_hit == False  # noqa: E712
 
 
@@ -122,12 +131,6 @@ class TestValidate:
         )
         assert any("start outside workspace" in v for v in validate(bad))
 
-    def test_occupancy_inflation_warns_but_validates(self, forward_scenario):
-        cfg = dataclasses.replace(forward_scenario.search, occupancy_inflation=0.5)
-        inflated = dataclasses.replace(forward_scenario, search=cfg)
-        with pytest.warns(UserWarning, match="admissibility"):
-            assert validate(inflated) == []
-
 
 class TestFiles:
     def test_round_trip_is_semantically_identical(self, tmp_path, forward_scenario):
@@ -153,8 +156,8 @@ class TestFiles:
 
     def test_unknown_nested_key_rejected(self):
         data = scenario_to_dict(forward_parking_scenario())
-        data["search"]["penalties"]["steer_hold"] = 1.0
-        with pytest.raises(ScenarioError, match="search.penalties"):
+        data["search"]["penalties"]["steer_bonus"] = 1.0
+        with pytest.raises(ScenarioError, match="search.penalties.*steer_bonus"):
             scenario_from_dict(data)
 
     def test_missing_section_diagnostic(self):
@@ -229,3 +232,140 @@ class TestFiles:
         scenario = load_scenario(bundled)
         assert validate(scenario) == []
         assert scenario_to_dict(scenario) == json.loads(bundled.read_text())
+
+
+BUNDLED = pathlib.Path(__file__).parent.parent / "scenarios"
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def search_configs(draw):
+    return SearchConfig(
+        omega_factor=draw(finite),
+        setvalue=draw(st.integers(-10, 10**9)),
+        max_iterations=draw(st.integers(-10, 10**9)),
+        penalties=PenaltyConfig(
+            reverse_mult=draw(finite),
+            switchback=draw(finite),
+            steer_change=draw(finite),
+            steer_hold=draw(finite),
+        ),
+        primitives=MotionPrimitiveSet(
+            arc_length=draw(st.floats(min_value=1e-6, max_value=1e6)),
+            steering_angles=tuple(draw(st.lists(finite, max_size=5))),
+        ),
+        inflation_factors=tuple(draw(st.lists(finite, max_size=4))),
+    )
+
+
+class TestSchema:
+    @settings(max_examples=200, deadline=None)
+    @given(config=search_configs())
+    def test_round_trip_keeps_every_search_field(self, config):
+        scenario = dataclasses.replace(forward_parking_scenario(), search=config)
+        text = json.dumps(scenario_to_dict(scenario))
+        loaded = scenario_from_dict(json.loads(text))
+        assert loaded.search == config
+        assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
+
+    CASES = [
+        *(
+            (section, key, bad)
+            for section, key in (
+                ("workspace", "x_max"),
+                ("search", "omega_factor"),
+                ("search", "arc_length"),
+                ("start", "x"),
+                ("obstacles", "extra_points"),
+            )
+            for bad in (math.nan, math.inf, -math.inf)
+        ),
+        ("search", "setvalue", 5.7),
+        ("workspace", "heading_bins", 72.9),
+        ("search", "max_iterations", 0.5),
+        ("vehicle", "width", True),
+        ("search", "setvalue", True),
+        # an int beyond the float range
+        pytest.param("workspace", "x_max", 10**400, id="workspace-x_max-10**400"),
+    ]
+
+    @staticmethod
+    def _malformed(section, key, bad):
+        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        if key == "extra_points":
+            data["obstacles"]["extra_points"] = [[5.0, 5.0], [6.0, bad]]
+            return data, "obstacles.extra_points[1]"
+        data[section][key] = bad
+        return data, f"{section}.{key}"
+
+    @pytest.mark.parametrize("section, key, bad", CASES)
+    def test_malformed_value_names_its_key(self, section, key, bad):
+        data, dotted = self._malformed(section, key, bad)
+        with pytest.raises(ScenarioError, match=re.escape(dotted)):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("section, key, bad", CASES)
+    def test_cli_validate_reports_malformed_value(self, tmp_path, section, key, bad):
+        data, dotted = self._malformed(section, key, bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhhastar", "validate", "--scenario", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and dotted in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_integral_floats_accepted_for_integer_keys(self):
+        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data["workspace"]["heading_bins"] = 72.0
+        data["search"]["setvalue"] = 5.0
+        scenario = scenario_from_dict(data)
+        assert scenario.workspace.heading_bins == 72 and scenario.search.setvalue == 5
+        assert type(scenario.search.setvalue) is int
+
+
+def _node_paths(node, path=()):
+    """Every key or index path below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, child in children:
+        yield path + (k,)
+        yield from _node_paths(child, path + (k,))
+
+
+def _fuzz_base() -> dict:
+    data = json.loads((BUNDLED / "forward_parking.json").read_text())
+    data["obstacles"]["extra_points"] = [[5.0, 5.0], [-3.0, 9.0]]
+    return data
+
+
+FUZZ_PATHS = list(_node_paths(_fuzz_base()))
+BAD_VALUES = [math.nan, math.inf, -math.inf, "x", True, False, None, [], {}, 0.5, [1.0, 2.0]]
+
+
+class TestLoaderFuzz:
+    @staticmethod
+    def _check(data):
+        try:
+            scenario = scenario_from_dict(data)
+        except ScenarioError:
+            return
+        assert isinstance(validate(scenario), list)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(FUZZ_PATHS), bad=st.sampled_from(BAD_VALUES))
+    def test_replaced_leaf_raises_only_scenario_error(self, path, bad):
+        data = _fuzz_base()
+        parent = functools.reduce(operator.getitem, path[:-1], data)
+        parent[path[-1]] = bad
+        self._check(data)
+
+    @pytest.mark.parametrize("path", FUZZ_PATHS, ids=lambda p: ".".join(map(str, p)))
+    def test_deleted_key_raises_only_scenario_error(self, path):
+        data = _fuzz_base()
+        parent = functools.reduce(operator.getitem, path[:-1], data)
+        del parent[path[-1]]
+        self._check(data)

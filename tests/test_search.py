@@ -4,7 +4,7 @@ import math
 import pytest
 
 from mhhastar.geometry import ObstacleSet, Pose, disk_cover, vehicle_collides
-from mhhastar.grid import CellKey
+from mhhastar.grid import CellKey, discretize
 from mhhastar.search import (
     OpenList,
     SearchConfig,
@@ -134,6 +134,21 @@ class TestImmediateCases:
         with pytest.raises(ValueError, match="omega"):
             mhha_star(sc.start, sc.goal, sc, config)
 
+    @pytest.mark.parametrize("name", ["switchback", "steer_change", "steer_hold"])
+    def test_negative_penalty_rejected(self, name):
+        # the planner applies the same rules as `validate`
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0))
+        penalties = dataclasses.replace(SearchConfig().penalties, **{name: -1.0})
+        config = dataclasses.replace(SearchConfig(), penalties=penalties)
+        with pytest.raises(ValueError, match=f"penalties.{name} < 0"):
+            mhha_star(sc.start, sc.goal, sc, config)
+
+    def test_nan_config_rejected(self):
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0))
+        config = dataclasses.replace(SearchConfig(), omega_factor=math.nan, inflation_factors=(math.nan,))
+        with pytest.raises(ValueError, match="omega_factor.*inflation factor #1"):
+            mhha_star(sc.start, sc.goal, sc, config)
+
     def test_iteration_cap_is_an_error(self):
         sc = make_open_scenario(Pose(-8, 0, 0), Pose(8, 8, math.pi / 2))
         config = dataclasses.replace(SearchConfig(), max_iterations=3, setvalue=10**9)
@@ -146,8 +161,7 @@ def make_searcher(sc, n=1):
     s = _Search(sc.goal, sc, sc.search, n, trace=False)
     start = SearchNode(
         pose=sc.start, gear=Gear.FORWARD, steering=0.0,
-        cell=CellKey(*sc.workspace.cell_of(sc.start.x, sc.start.y),
-                     sc.workspace.heading_bin(sc.start.theta), Gear.FORWARD),
+        cell=discretize(sc.start, Gear.FORWARD, sc.workspace),
         g=0.0, bp=None, h_anchor=s.heuristics.anchor(sc.start),
     )
     s.nodes[start.cell] = start
@@ -159,8 +173,8 @@ class TestExpandNode:
     def test_expansion_removes_and_closes(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
-        s.expand_node(start, 0)
-        assert start.closed_anchor and start.closed_inadmissible
+        s.expand_node(start)
+        assert start.closed
         for i in range(s.n + 1):
             assert s.open.top(i) is not start
         assert s.expansions == 1
@@ -168,7 +182,7 @@ class TestExpandNode:
     def test_six_successors_inserted(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
-        s.expand_node(start, 0)
+        s.expand_node(start)
         assert len(s.nodes) == 1 + 6  # start plus one node per primitive
 
     def test_rediscovery_with_larger_g_keeps_entry(self):
@@ -176,15 +190,14 @@ class TestExpandNode:
         s, start = make_searcher(sc)
         arc = sc.search.primitives.arc_length
         ahead = Pose(arc, 0.0, 0.0)  # where start's straight step lands
-        cell = CellKey(*sc.workspace.cell_of(ahead.x, ahead.y),
-                       sc.workspace.heading_bin(0.0), Gear.FORWARD)
+        cell = discretize(ahead, Gear.FORWARD, sc.workspace)
         planted = SearchNode(
             pose=Pose(arc - 0.01, 0.0, 0.0), gear=Gear.FORWARD, steering=0.0,
             cell=cell, g=0.1, bp=None, h_anchor=s.heuristics.anchor(ahead),
         )
         s.nodes[cell] = planted
         s._insert(planted)
-        s.expand_node(start, 0)
+        s.expand_node(start)
         # the straight successor costs arc > 0.1: stored g, bp, pose untouched
         assert planted.g == 0.1
         assert planted.bp is None
@@ -195,15 +208,14 @@ class TestExpandNode:
         s, start = make_searcher(sc)
         arc = sc.search.primitives.arc_length
         ahead = Pose(arc, 0.0, 0.0)
-        cell = CellKey(*sc.workspace.cell_of(ahead.x, ahead.y),
-                       sc.workspace.heading_bin(0.0), Gear.FORWARD)
+        cell = discretize(ahead, Gear.FORWARD, sc.workspace)
         planted = SearchNode(
             pose=Pose(arc - 0.01, 0.0, 0.0), gear=Gear.FORWARD, steering=0.3,
             cell=cell, g=99.0, bp=None, h_anchor=s.heuristics.anchor(ahead),
         )
         s.nodes[cell] = planted
         s._insert(planted)
-        s.expand_node(start, 0)
+        s.expand_node(start)
         assert planted.g == pytest.approx(arc)
         assert planted.bp is start
         assert planted.pose == ahead
@@ -212,14 +224,14 @@ class TestExpandNode:
     def test_anchor_closed_cells_skipped(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
-        s.expand_node(start, 0)
+        s.expand_node(start)
         rev = next(
             n for n in s.nodes.values()
             if n.bp is start and n.steering == 0.0 and n.gear is Gear.REVERSE
         )
         # rev's forward-straight successor lands exactly on the closed start
         # cell (same gear) and must be skipped, not re-opened or updated
-        s.expand_node(rev, 0)
+        s.expand_node(rev)
         assert [n for n in s.nodes.values() if n.cell == start.cell] == [start]
         assert start.g == 0.0 and start.bp is None
 
@@ -328,14 +340,3 @@ class TestBacktrackGuard:
         with pytest.raises(RuntimeError, match="cyclic"):
             s.reconstruct_path(other, None)
 
-
-class TestSplitClosingMode:
-    def test_split_mode_still_plans(self, forward_scenario):
-        config = dataclasses.replace(forward_scenario.search, smha_split_closing=True)
-        r = mhha_star(forward_scenario.start, forward_scenario.goal, forward_scenario, config)
-        assert r.found
-        cover = disk_cover(forward_scenario.vehicle, 1)
-        for pose, _ in r.path:
-            assert not vehicle_collides(
-                pose, forward_scenario.vehicle, cover, forward_scenario.obstacles
-            )

@@ -44,8 +44,6 @@ class TestLimits:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             VehicleLimits(phi_max=0.0)
-        with pytest.raises(ValueError):
-            VehicleLimits(a_min=0.5)
 
 
 class TestIntegrateArc:
@@ -119,8 +117,8 @@ class TestSuccessors:
     def test_cardinality_and_order(self):
         steps = successors(_State(Pose(0, 0, 0)), self.PRIMITIVES, WHEELBASE)
         assert len(steps) == 6
-        assert [s.direction for s in steps[:3]] == [Gear.FORWARD] * 3
-        assert [s.direction for s in steps[3:]] == [Gear.REVERSE] * 3
+        assert [s.gear for s in steps[:3]] == [Gear.FORWARD] * 3
+        assert [s.gear for s in steps[3:]] == [Gear.REVERSE] * 3
         assert [s.steering for s in steps[:3]] == [-0.6, 0.0, 0.6]
 
     def test_chord_no_longer_than_arc(self):
