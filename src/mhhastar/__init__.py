@@ -2,13 +2,10 @@
 anchor-only Hybrid A* baseline, analytic curve expansion, and benchmark CLI."""
 
 from .geometry import (
-    DiskCover,
     ObstacleSet,
     Pose,
     VehicleGeometry,
     body_to_world,
-    coarse_clear,
-    disk_cover,
     normalize_angle,
     point_in_rectangle,
     vehicle_collides,
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellKey",
-    "DiskCover",
     "DistanceField",
     "Gear",
     "GridSpec",
@@ -78,10 +74,8 @@ __all__ = [
     "body_to_world",
     "build_occupancy",
     "build_parallel_parking",
-    "coarse_clear",
     "dijkstra_field",
     "discretize",
-    "disk_cover",
     "forward_parking_scenario",
     "h_anchor",
     "h_holonomic",

@@ -1,8 +1,9 @@
-"""Planar poses, frame transforms, and the two-stage vehicle/obstacle collision check.
+"""Planar poses, frame transforms, and the vehicle/obstacle collision check.
 
 The vehicle body is a rectangle anchored at the rear-axle midpoint. Collision
-against a point cloud runs in two stages: a cheap disk-distance rejection
-followed by an exact point-in-oriented-rectangle test in the body frame.
+against a point cloud is checked by coordinate transformation: one range
+query around the body center gathers the nearby obstacle points, which are
+moved into the vehicle frame and tested against the body rectangle exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 Point = tuple[float, float]
+
+INDEX_CELL = 2.0  # [m] side of an ObstacleSet index bucket
 
 
 def normalize_angle(theta: float) -> float:
@@ -70,38 +73,6 @@ class VehicleGeometry:
         return self.length / 2.0 - self.rear_overhang
 
 
-@dataclass(frozen=True)
-class DiskCover:
-    """Conservative cover of the body rectangle by `count` equal disks of
-    radius `radius`, centered on the long axis `spacing` apart."""
-
-    count: int
-    radius: float
-    spacing: float
-
-
-def cover_radius_spacing(length: float, width: float, n: int) -> tuple[float, float]:
-    """Radius and center spacing of the n-disk cover of an l-by-w rectangle."""
-    if n < 1:
-        raise ValueError("disk count must be >= 1")
-    r = math.sqrt(length * length / (n * n) + width * width / 4.0)
-    d = 2.0 * math.sqrt(r * r - width * width / 4.0)
-    return r, d
-
-
-def disk_cover(geometry: VehicleGeometry, n: int) -> DiskCover:
-    """Build the n-disk cover of the vehicle rectangle."""
-    r, d = cover_radius_spacing(geometry.length, geometry.width, n)
-    return DiskCover(count=n, radius=r, spacing=d)
-
-
-def disk_centers_body(geometry: VehicleGeometry, cover: DiskCover) -> list[Point]:
-    """Disk centers in the body frame, symmetric about the rectangle center."""
-    mid = geometry.body_center_x
-    half = (cover.count - 1) / 2.0
-    return [(mid + (i - half) * cover.spacing, 0.0) for i in range(cover.count)]
-
-
 def world_to_body(vehicle_pose: Pose, world_point: Point) -> Point:
     """Express a world point in the vehicle frame (origin at the rear axle,
     x-axis along the heading): translate, then rotate by -theta."""
@@ -138,24 +109,6 @@ def point_in_rectangle(body_point: Point, geometry: VehicleGeometry) -> bool:
     )
 
 
-def coarse_clear(
-    vehicle_pose: Pose,
-    cover: DiskCover,
-    geometry: VehicleGeometry,
-    point: Point,
-) -> bool:
-    """True iff the point lies strictly outside every cover disk, which
-    guarantees no collision. False only means a collision is possible."""
-    r2 = cover.radius * cover.radius
-    for center in disk_centers_body(geometry, cover):
-        cx, cy = body_to_world(vehicle_pose, center)
-        dx = point[0] - cx
-        dy = point[1] - cy
-        if dx * dx + dy * dy <= r2:
-            return False
-    return True
-
-
 class ObstacleSet:
     """Immutable planar point-cloud obstacles with a uniform-grid range index.
 
@@ -163,14 +116,13 @@ class ObstacleSet:
     query returns.
     """
 
-    def __init__(self, points, index_cell: float = 2.0):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         pts.setflags(write=False)
         self._points = pts
-        self._cell = float(index_cell)
         buckets: dict[tuple[int, int], list[int]] = {}
         for i, (x, y) in enumerate(pts):
-            key = (math.floor(x / self._cell), math.floor(y / self._cell))
+            key = (math.floor(x / INDEX_CELL), math.floor(y / INDEX_CELL))
             buckets.setdefault(key, []).append(i)
         self._buckets = {k: np.asarray(v, dtype=np.intp) for k, v in buckets.items()}
 
@@ -185,7 +137,7 @@ class ObstacleSet:
         """All points with distance <= radius from (x, y), as an (m, 2) array."""
         if self._points.shape[0] == 0:
             return self._points
-        c = self._cell
+        c = INDEX_CELL
         i0 = math.floor((x - radius) / c)
         i1 = math.floor((x + radius) / c)
         j0 = math.floor((y - radius) / c)
@@ -206,45 +158,34 @@ class ObstacleSet:
 
 
 def vehicle_collides(
-    vehicle_pose: Pose,
-    geometry: VehicleGeometry,
-    cover: DiskCover,
-    obstacles: ObstacleSet,
+    vehicle_pose: Pose, geometry: VehicleGeometry, obstacles: ObstacleSet
 ) -> bool:
-    """Two-stage check: a range query around each cover disk, then the exact
-    oriented rectangle test on surviving points. Equivalent to testing every
-    point.
+    """True iff some obstacle point lies in the closed body rectangle.
 
-    Each query radius is clipped to min(cover radius, distance from the disk
-    center to the farthest body corner + 1e-9 m). The farthest point of a
-    rectangle from any center is a corner, so a point beyond that distance
-    cannot lie in the closed rectangle; the 1e-9 m margin keeps corner points
-    whose rounded squared distance lands just above the clipped radius."""
-    if len(obstacles) == 0:
-        return False
+    One range query around the body center, of radius half-diagonal + 1e-9 m,
+    gathers the candidates; each is moved into the body frame and tested
+    against the rectangle. No farther point can lie in the rectangle, whose
+    farthest point from its center is a corner; the 1e-9 m margin keeps
+    corner points whose rounded squared distance lands just above the
+    half-diagonal. The verdict equals testing every point."""
     c = math.cos(vehicle_pose.theta)
     s = math.sin(vehicle_pose.theta)
+    mid = geometry.body_center_x
     half_w = geometry.width / 2.0
-    rear = -geometry.rear_overhang
-    front = geometry.front_extent
-    for center in disk_centers_body(geometry, cover):
-        reach = math.hypot(
-            max(abs(center[0] - rear), abs(front - center[0])), half_w + abs(center[1])
-        )
-        cx = vehicle_pose.x + c * center[0] - s * center[1]
-        cy = vehicle_pose.y + s * center[0] + c * center[1]
-        cand = obstacles.query(cx, cy, min(cover.radius, reach + 1e-9))
-        if cand.shape[0] == 0:
-            continue
-        dx = cand[:, 0] - vehicle_pose.x
-        dy = cand[:, 1] - vehicle_pose.y
-        bx = c * dx + s * dy
-        by = -s * dx + c * dy
-        inside = (
-            (bx >= rear)
-            & (bx <= front)
-            & (np.abs(by) <= half_w)
-        )
-        if bool(inside.any()):
-            return True
-    return False
+    cand = obstacles.query(
+        vehicle_pose.x + c * mid,
+        vehicle_pose.y + s * mid,
+        math.hypot(geometry.length / 2.0, half_w) + 1e-9,
+    )
+    if cand.shape[0] == 0:
+        return False
+    dx = cand[:, 0] - vehicle_pose.x
+    dy = cand[:, 1] - vehicle_pose.y
+    bx = c * dx + s * dy
+    by = -s * dx + c * dy
+    inside = (
+        (bx >= -geometry.rear_overhang)
+        & (bx <= geometry.front_extent)
+        & (np.abs(by) <= half_w)
+    )
+    return bool(inside.any())

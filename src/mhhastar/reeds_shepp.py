@@ -369,7 +369,6 @@ def rs_collision_free(
     start: Pose,
     turning_radius: float,
     geometry,
-    cover,
     obstacles,
     spacing: float = 0.1,
 ) -> bool:
@@ -379,6 +378,6 @@ def rs_collision_free(
     if spacing > 0.1:
         raise ValueError("collision sampling spacing must be <= 0.1 m")
     for pose, _ in rs_sample(path, start, turning_radius, spacing):
-        if vehicle_collides(pose, geometry, cover, obstacles):
+        if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

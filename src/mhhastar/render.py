@@ -15,19 +15,19 @@ _START = "#228833"
 _GOAL = "#8822aa"
 
 
-def render_svg(scenario, result: PlanResult | None = None, trace=None, scale: float = SCALE) -> str:
+def render_svg(scenario, result: PlanResult | None = None) -> str:
     """Deterministic SVG document: obstacles, optional expansion tree,
     the planned path with its analytic tail in a distinct stroke, and the
     vehicle outline at start and goal."""
     ws = scenario.workspace
-    width = (ws.x_max - ws.x_min) * scale
-    height = (ws.y_max - ws.y_min) * scale
+    width = (ws.x_max - ws.x_min) * SCALE
+    height = (ws.y_max - ws.y_min) * SCALE
 
     def px(x: float) -> float:
-        return (x - ws.x_min) * scale
+        return (x - ws.x_min) * SCALE
 
     def py(y: float) -> float:
-        return (ws.y_max - y) * scale
+        return (ws.y_max - y) * SCALE
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -37,11 +37,9 @@ def render_svg(scenario, result: PlanResult | None = None, trace=None, scale: fl
         'fill="white" stroke="black" stroke-width="1"/>',
     ]
 
-    if trace is None and result is not None:
-        trace = result.trace
-    if trace:
+    if result is not None and result.trace:
         segs = []
-        for parent_pose, pose, _cell in trace:
+        for parent_pose, pose, _cell in result.trace:
             if parent_pose is None:
                 continue
             segs.append(

@@ -12,7 +12,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
-from .geometry import ObstacleSet, Pose, VehicleGeometry, disk_cover, vehicle_collides
+from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
 from .grid import GridSpec
 from .search import SearchConfig, config_problems
 from .vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
@@ -77,6 +77,13 @@ def _parking_walls(
     floor_y = goal.y - spot.depth / 2.0
     left = spot.center_x - spot.length / 2.0
     right = spot.center_x + spot.length / 2.0
+    if (
+        left < workspace.x_min
+        or right > workspace.x_max
+        or floor_y < workspace.y_min
+        or open_y > workspace.y_max
+    ):
+        raise ValueError("spot extends outside the workspace")
     pts: list[tuple[float, float]] = []
     pts += _segment_points((workspace.x_min, open_y), (left, open_y), spacing)
     pts += _segment_points((right, open_y), (workspace.x_max, open_y), spacing)
@@ -99,10 +106,6 @@ def build_parallel_parking(
     extra_points: Sequence[tuple[float, float]] = (),
 ) -> Scenario:
     """Deterministically assemble the parallel-parking scenario."""
-    left = spot.center_x - spot.length / 2.0
-    right = spot.center_x + spot.length / 2.0
-    if left < workspace.x_min or right > workspace.x_max:
-        raise ValueError("spot extends outside the workspace")
     points = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING)
     points += [(float(x), float(y)) for x, y in extra_points]
     return Scenario(
@@ -156,13 +159,12 @@ def validate(scenario: Scenario) -> list[str]:
         out.append("start outside workspace")
     if not ws.contains(scenario.goal.x, scenario.goal.y):
         out.append("goal outside workspace")
-    cover = disk_cover(scenario.vehicle, 1)
     if ws.contains(scenario.start.x, scenario.start.y) and vehicle_collides(
-        scenario.start, scenario.vehicle, cover, scenario.obstacles
+        scenario.start, scenario.vehicle, scenario.obstacles
     ):
         out.append("start in collision")
     if ws.contains(scenario.goal.x, scenario.goal.y) and vehicle_collides(
-        scenario.goal, scenario.vehicle, cover, scenario.obstacles
+        scenario.goal, scenario.vehicle, scenario.obstacles
     ):
         out.append("goal in collision")
     for x, y in scenario.obstacles.points:
@@ -285,9 +287,9 @@ def _read(mapping, section: str) -> dict:
     return out
 
 
-def _build(section: str, cls, **values):
+def _build(section: str, make, **values):
     try:
-        return cls(**values)
+        return make(**values)
     except ValueError as e:
         raise ScenarioError(f"{section}: {e}") from e
 
@@ -313,7 +315,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         arc_length=s.pop("arc_length"), steering_angles=s.pop("steering_angles"),
     )
     extra = _read(data.get("obstacles", {}), "obstacles")["extra_points"]
-    points = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING) if spot is not None else []
+    points = []
+    if spot is not None:
+        points = _build(
+            "spot", _parking_walls,
+            workspace=workspace, spot=spot, goal=goal, spacing=WALL_POINT_SPACING,
+        )
     return Scenario(
         workspace=workspace,
         obstacles=ObstacleSet(points + list(extra)),

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
-from .geometry import (
-    DiskCover,
-    ObstacleSet,
-    Pose,
-    VehicleGeometry,
-    disk_cover,
-    vehicle_collides,
-)
+from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
 from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
 from .heuristics import HeuristicSet
 from .reeds_shepp import RSPath, rs_collision_free, rs_sample, rs_shortest
@@ -169,7 +162,6 @@ class _Search:
         self.obstacles: ObstacleSet = scenario.obstacles
         self.vehicle: VehicleGeometry = scenario.vehicle
         self.wheelbase = scenario.vehicle.wheelbase
-        self.cover: DiskCover = disk_cover(scenario.vehicle, 1)
         self.turning_radius = scenario.limits.turning_radius(self.wheelbase)
 
         t0 = time.perf_counter()
@@ -214,7 +206,7 @@ class _Search:
         return (best.g, best) if best is not None else (math.inf, None)
 
     def _collides(self, pose: Pose) -> bool:
-        return vehicle_collides(pose, self.vehicle, self.cover, self.obstacles)
+        return vehicle_collides(pose, self.vehicle, self.obstacles)
 
     # -- core operations ----------------------------------------------------
 
@@ -271,14 +263,7 @@ class _Search:
     def analytic_expansion(self, s: SearchNode) -> RSPath | None:
         """Exact curve from s to the goal, or None when it collides."""
         path = rs_shortest(s.pose, self.goal, self.turning_radius)
-        if rs_collision_free(
-            path,
-            s.pose,
-            self.turning_radius,
-            self.vehicle,
-            self.cover,
-            self.obstacles,
-        ):
+        if rs_collision_free(path, s.pose, self.turning_radius, self.vehicle, self.obstacles):
             return path
         return None
 
@@ -410,10 +395,9 @@ def _plan(start: Pose, goal: Pose, scenario, config: SearchConfig, n: int, trace
     problems = config_problems(config)
     if problems:
         raise ValueError("invalid search config: " + "; ".join(problems))
-    cover = disk_cover(scenario.vehicle, 1)
-    if vehicle_collides(start, scenario.vehicle, cover, scenario.obstacles):
+    if vehicle_collides(start, scenario.vehicle, scenario.obstacles):
         raise ValueError("start pose is in collision")
-    if vehicle_collides(goal, scenario.vehicle, cover, scenario.obstacles):
+    if vehicle_collides(goal, scenario.vehicle, scenario.obstacles):
         raise ValueError("goal pose is in collision")
     if not scenario.workspace.contains(start.x, start.y):
         raise ValueError("start pose outside workspace")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from mhhastar.cli import main, path_lines
-from mhhastar.render import render_svg
+from mhhastar.render import SCALE, render_svg
 from mhhastar.scenario import save_scenario
 from mhhastar.search import Termination
 from mhhastar.vehicle import Gear
@@ -181,6 +182,20 @@ class TestRender:
         result = benchmark_results[("forward", "mhha")]
         doc = render_svg(forward_scenario, result)
         assert doc.count("<polyline") >= 2  # driven part plus analytic tail
+
+    def test_svg_size_follows_scale(self, forward_scenario):
+        root = ET.fromstring(render_svg(forward_scenario))
+        ws = forward_scenario.workspace
+        assert float(root.get("width")) == round((ws.x_max - ws.x_min) * SCALE)
+        assert float(root.get("height")) == round((ws.y_max - ws.y_min) * SCALE)
+
+    def test_svg_draws_tree_from_result_trace(self, forward_scenario, benchmark_results):
+        result = benchmark_results[("forward", "mhha")]
+        traced = render_svg(forward_scenario, result)
+        untraced = render_svg(forward_scenario, dataclasses.replace(result, trace=None))
+        # one tree edge per expansion except the root's
+        assert traced.count("<line ") == len(result.trace) - 1
+        assert untraced.count("<line ") == 0
 
     def test_path_lines_format(self, benchmark_results):
         result = benchmark_results[("forward", "mhha")]

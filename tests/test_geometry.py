@@ -6,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhhastar.geometry import (
-    DiskCover,
     ObstacleSet,
     Pose,
     VehicleGeometry,
     body_to_world,
-    coarse_clear,
-    cover_radius_spacing,
-    disk_cover,
-    disk_centers_body,
     normalize_angle,
     point_in_rectangle,
     vehicle_collides,
@@ -93,41 +88,6 @@ class TestTransforms:
             assert after == pytest.approx(before, abs=1e-12 * max(1.0, before))
 
 
-class TestDiskCover:
-    def test_benchmark_vehicle_single_disk(self):
-        r, d = cover_radius_spacing(4.7, 2.0, 1)
-        assert r == pytest.approx(math.sqrt(23.09), abs=1e-12)
-        assert d == pytest.approx(9.4, abs=1e-12)
-
-    def test_degenerate_zero_width(self):
-        r, d = cover_radius_spacing(5.0, 0.0, 1)
-        assert (r, d) == (5.0, 10.0)
-
-    def test_square_two_disks(self):
-        r, d = cover_radius_spacing(2.0, 2.0, 2)
-        assert r == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert d == pytest.approx(2.0, abs=1e-12)
-
-    def test_rejects_zero_disks(self):
-        with pytest.raises(ValueError):
-            disk_cover(CAR, 0)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_disks_cover_rectangle(self, n):
-        cover = disk_cover(CAR, n)
-        centers = disk_centers_body(CAR, cover)
-        xs = [-CAR.rear_overhang + k * 0.01 for k in range(int(CAR.length / 0.01) + 1)]
-        half = CAR.width / 2.0
-        for x in xs:
-            for y in (-half, half):
-                nearest = min(math.dist((x, y), c) for c in centers)
-                assert nearest <= cover.radius + 1e-9
-        for corner_x in (-CAR.rear_overhang, CAR.length - CAR.rear_overhang):
-            for corner_y in (-half, half):
-                nearest = min(math.dist((corner_x, corner_y), c) for c in centers)
-                assert nearest <= cover.radius + 1e-9
-
-
 class TestPointInRectangle:
     def test_axle_midpoint_inside(self):
         assert point_in_rectangle((0.0, 0.0), CAR)
@@ -139,55 +99,30 @@ class TestPointInRectangle:
         assert not point_in_rectangle((CAR.length - CAR.rear_overhang + 1e-6, 0.0), CAR)
 
 
-class TestCoarseClear:
-    def test_far_point_clear(self):
-        cover = disk_cover(CAR, 1)
-        assert coarse_clear(Pose(0, 0, 0.3), cover, CAR, (100.0, 0.0))
-
-    def test_disk_center_not_clear(self):
-        cover = disk_cover(CAR, 1)
-        center_world = body_to_world(Pose(0, 0, 0), (CAR.body_center_x, 0.0))
-        assert not coarse_clear(Pose(0, 0, 0), cover, CAR, center_world)
-
-    def test_soundness_against_exact_test(self):
-        # clear by the disk filter must imply outside the rectangle
-        cover = disk_cover(CAR, 1)
-        rng = random.Random(42)
-        for _ in range(20000):
-            pose = random_pose(rng)
-            pt = (rng.uniform(-25, 25), rng.uniform(-25, 25))
-            if coarse_clear(pose, cover, CAR, pt):
-                assert not point_in_rectangle(world_to_body(pose, pt), CAR)
-
-
 class TestVehicleCollides:
     def test_empty_obstacles(self):
-        cover = disk_cover(CAR, 1)
-        assert not vehicle_collides(Pose(0, 0, 0), CAR, cover, ObstacleSet([]))
+        assert not vehicle_collides(Pose(0, 0, 0), CAR, ObstacleSet([]))
 
     def test_point_at_axle(self):
-        cover = disk_cover(CAR, 1)
-        assert vehicle_collides(Pose(2, 3, 0.7), CAR, cover, ObstacleSet([(2.0, 3.0)]))
+        assert vehicle_collides(Pose(2, 3, 0.7), CAR, ObstacleSet([(2.0, 3.0)]))
 
     def test_boundary_point_collides(self):
         # heading zero keeps the frame transform exact, so the point sits
         # bitwise on the closed front edge
-        cover = disk_cover(CAR, 1)
         pose = Pose(1.0, 2.0, 0.0)
         front = (1.0 + CAR.front_extent, 2.0)
-        assert vehicle_collides(pose, CAR, cover, ObstacleSet([front]))
+        assert vehicle_collides(pose, CAR, ObstacleSet([front]))
         # a rotated pose with a point nudged just inside still collides
         pose = Pose(1.0, 2.0, 0.5)
         inside = body_to_world(pose, (CAR.front_extent - 1e-7, 0.0))
-        assert vehicle_collides(pose, CAR, cover, ObstacleSet([inside]))
+        assert vehicle_collides(pose, CAR, ObstacleSet([inside]))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_boundary_points_match_brute_force(self, n):
-        # The clipped query radius must keep every point the exact body-frame
-        # test accepts: corners, edge points, points nudged outward by a few
+    @pytest.mark.parametrize("seed", [301, 302, 303, 305])
+    def test_boundary_points_match_brute_force(self, seed):
+        # The query radius must keep every point the exact body-frame test
+        # accepts: corners, edge points, points nudged outward by a few
         # rounding steps or more, and random points around the body.
-        cover = disk_cover(CAR, n)
-        rng = random.Random(300 + n)
+        rng = random.Random(seed)
         rear, front, h = -CAR.rear_overhang, CAR.front_extent, CAR.width / 2.0
         for _ in range(120):
             theta = rng.choice((0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)))
@@ -204,11 +139,45 @@ class TestVehicleCollides:
             pts = [body_to_world(pose, p) for p in body]
             expected = [point_in_rectangle(world_to_body(pose, pt), CAR) for pt in pts]
             for pt, inside in zip(pts, expected):
-                assert vehicle_collides(pose, CAR, cover, ObstacleSet([pt])) == inside
-            assert vehicle_collides(pose, CAR, cover, ObstacleSet(pts)) == any(expected)
+                assert vehicle_collides(pose, CAR, ObstacleSet([pt])) == inside
+            assert vehicle_collides(pose, CAR, ObstacleSet(pts)) == any(expected)
+
+    @pytest.mark.parametrize("shape", ["thin", "wide"])
+    @pytest.mark.parametrize("overhang", ["zero", "max", "between"])
+    def test_random_bodies_match_brute_force(self, shape, overhang):
+        # Bodies other than the benchmark car, thin or wider than long, with
+        # no rear overhang, the largest one or one in between: the query
+        # follows each body's own center and half-diagonal.
+        rng = random.Random(f"401-{shape}-{overhang}")
+        for _ in range(40):
+            length = rng.uniform(0.5, 12.0)
+            if shape == "thin":
+                width = rng.uniform(0.05, 0.3)
+            else:
+                width = rng.uniform(1.0, 3.0) * length
+            wheelbase = rng.uniform(0.1, 0.9) * length
+            most = length - wheelbase
+            rear_overhang = {"zero": 0.0, "max": most, "between": rng.uniform(0.0, most)}[overhang]
+            geometry = VehicleGeometry(length, width, wheelbase, rear_overhang)
+            theta = rng.choice((0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)))
+            pose = Pose(rng.uniform(-60, 60), rng.uniform(-60, 60), theta)
+            rear, front, h = -geometry.rear_overhang, geometry.front_extent, width / 2.0
+            corners = [(x, y) for x in (rear, front) for y in (-h, h)]
+            body = list(corners)
+            for x, y in corners:
+                for eps in (1e-14, 1e-12, 1e-9, 1e-6):
+                    body.append((x + math.copysign(eps, x), y + math.copysign(eps, y)))
+                    body.append((x - math.copysign(eps, x), y - math.copysign(eps, y)))
+            body += [
+                (rng.uniform(rear - 1, front + 1), rng.uniform(-h - 1, h + 1)) for _ in range(8)
+            ]
+            pts = [body_to_world(pose, p) for p in body]
+            expected = [point_in_rectangle(world_to_body(pose, pt), geometry) for pt in pts]
+            for pt, inside in zip(pts, expected):
+                assert vehicle_collides(pose, geometry, ObstacleSet([pt])) == inside
+            assert vehicle_collides(pose, geometry, ObstacleSet(pts)) == any(expected)
 
     def test_permutation_invariance(self):
-        cover = disk_cover(CAR, 1)
         rng = random.Random(3)
         pts = [(rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(40)]
         poses = [random_pose(rng) for _ in range(50)]
@@ -216,16 +185,15 @@ class TestVehicleCollides:
         rng.shuffle(shuffled)
         a, b = ObstacleSet(pts), ObstacleSet(shuffled)
         for pose in poses:
-            assert vehicle_collides(pose, CAR, cover, a) == vehicle_collides(pose, CAR, cover, b)
+            assert vehicle_collides(pose, CAR, a) == vehicle_collides(pose, CAR, b)
 
     def test_agrees_with_polygon_oracle(self):
-        cover = disk_cover(CAR, 1)
         rng = random.Random(7)
         for _ in range(20000):
             pose = random_pose(rng)
             pt = (pose.x + rng.uniform(-6, 6), pose.y + rng.uniform(-6, 6))
             expected = polygon_contains(rectangle_corners(pose, CAR), pt, tol=1e-9)
-            got = vehicle_collides(pose, CAR, cover, ObstacleSet([pt]))
+            got = vehicle_collides(pose, CAR, ObstacleSet([pt]))
             assert got == expected
 
 

@@ -13,7 +13,7 @@ from mhhastar.reeds_shepp import (
     rs_sample,
     rs_shortest,
 )
-from mhhastar.geometry import ObstacleSet, VehicleGeometry, disk_cover
+from mhhastar.geometry import ObstacleSet, VehicleGeometry
 from mhhastar.vehicle import Gear
 
 
@@ -180,27 +180,22 @@ class TestCollisionFree:
     CAR = VehicleGeometry(4.7, 2.0, 2.7, 1.0)
 
     def test_empty_obstacles(self):
-        cover = disk_cover(self.CAR, 1)
         path = rs_shortest(Pose(0, 0, 0), Pose(8, 0, 0), 2.0)
-        assert rs_collision_free(path, Pose(0, 0, 0), 2.0, self.CAR, cover, ObstacleSet([]))
+        assert rs_collision_free(path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([]))
 
     def test_blocked_corridor(self):
-        cover = disk_cover(self.CAR, 1)
         path = rs_shortest(Pose(0, 0, 0), Pose(8, 0, 0), 2.0)
         assert not rs_collision_free(
-            path, Pose(0, 0, 0), 2.0, self.CAR, cover, ObstacleSet([(4.0, 0.0)])
+            path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([(4.0, 0.0)])
         )
 
     def test_rejects_coarse_spacing(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(8, 0, 0), 2.0)
         with pytest.raises(ValueError):
-            rs_collision_free(
-                path, Pose(0, 0, 0), 2.0, self.CAR, disk_cover(self.CAR, 1), ObstacleSet([]), 0.2
-            )
+            rs_collision_free(path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([]), 0.2)
 
     def test_refinement_stability(self):
         # verdicts at the default spacing agree with a 10x finer sampling
-        cover = disk_cover(self.CAR, 1)
         rng = random.Random(106)
         agreements = 0
         for _ in range(200):
@@ -208,8 +203,8 @@ class TestCollisionFree:
             pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(25)]
             obstacles = ObstacleSet(pts)
             path = rs_shortest(a, b, 3.0)
-            coarse = rs_collision_free(path, a, 3.0, self.CAR, cover, obstacles, 0.1)
-            fine = rs_collision_free(path, a, 3.0, self.CAR, cover, obstacles, 0.01)
+            coarse = rs_collision_free(path, a, 3.0, self.CAR, obstacles, 0.1)
+            fine = rs_collision_free(path, a, 3.0, self.CAR, obstacles, 0.01)
             if coarse == fine:
                 agreements += 1
         assert agreements >= 198  # collisions grazing a sample boundary are rare

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhhastar.geometry import ObstacleSet, Pose, disk_cover, vehicle_collides
+from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
 from mhhastar.scenario import (
     Scenario,
     ScenarioError,
@@ -42,12 +42,8 @@ class TestBuild:
         assert backward_parking_scenario().start == Pose(12.0, 8.0, 0.0)
 
     def test_goal_is_collision_free(self, forward_scenario):
-        cover = disk_cover(forward_scenario.vehicle, 1)
         assert not vehicle_collides(
-            forward_scenario.goal,
-            forward_scenario.vehicle,
-            cover,
-            forward_scenario.obstacles,
+            forward_scenario.goal, forward_scenario.vehicle, forward_scenario.obstacles
         )
 
     def test_no_violations(self, forward_scenario, backward_scenario):
@@ -92,12 +88,11 @@ class TestBuild:
             forward_scenario.goal,
             WALL_POINT_SPACING / 2.0,
         ))
-        cover = disk_cover(forward_scenario.vehicle, 1)
         for pose, _ in benchmark_results[("forward", "mhha")].path:
             sparse_hit = vehicle_collides(
-                pose, forward_scenario.vehicle, cover, forward_scenario.obstacles
+                pose, forward_scenario.vehicle, forward_scenario.obstacles
             )
-            dense_hit = vehicle_collides(pose, forward_scenario.vehicle, cover, dense)
+            dense_hit = vehicle_collides(pose, forward_scenario.vehicle, dense)
             assert sparse_hit == dense_hit == False  # noqa: E712
 
 
@@ -318,6 +313,43 @@ class TestSchema:
         assert proc.returncode == 1
         assert "error:" in proc.stderr and dotted in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("center_x", 19.0),  # the opening would end at x = 22.6 > 21
+            ("center_x", -19.0),  # the opening would start at x = -22.6 < -21
+            ("depth", 6.0),  # the floor would lie at y = -1.5 < -1
+        ],
+    )
+    def test_spot_outside_workspace_is_one_error(self, tmp_path, key, value):
+        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data["spot"][key] = value
+        with pytest.raises(ScenarioError, match=r"^spot: spot extends outside the workspace"):
+            scenario_from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhhastar", "validate", "--scenario", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: spot: spot extends outside the workspace"]
+
+    @pytest.mark.parametrize(
+        "spot",
+        [
+            {"length": 8.0, "center_x": -17.0},  # opening starts at x = -21
+            {"length": 8.0, "center_x": 17.0},  # opening ends at x = 21
+            {"depth": 5.0},  # floor at y = -1
+        ],
+    )
+    def test_spot_flush_with_workspace_loads(self, spot):
+        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data["spot"].update(spot)
+        scenario = scenario_from_dict(data)
+        assert not [line for line in validate(scenario) if "outside workspace" in line]
 
     def test_integral_floats_accepted_for_integer_keys(self):
         data = json.loads((BUNDLED / "forward_parking.json").read_text())

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from mhhastar.geometry import ObstacleSet, Pose, disk_cover, vehicle_collides
+from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
 from mhhastar.grid import CellKey, discretize
 from mhhastar.search import (
     OpenList,
@@ -277,9 +277,8 @@ class TestResultInvariants:
         scenarios = {"forward": forward_scenario, "backward": backward_scenario}
         for (label, _), result in benchmark_results.items():
             scenario = scenarios[label]
-            cover = disk_cover(scenario.vehicle, 1)
             for pose, _ in result.path:
-                assert not vehicle_collides(pose, scenario.vehicle, cover, scenario.obstacles)
+                assert not vehicle_collides(pose, scenario.vehicle, scenario.obstacles)
 
     def test_benchmark_search_trace_pinned(self, benchmark_results):
         # Speed-ups of any layer must leave every search decision unchanged:
