@@ -1,9 +1,12 @@
 """Planar poses, frame transforms, and the vehicle/obstacle collision check.
 
 The vehicle body is a rectangle anchored at the rear-axle midpoint. Collision
-against a point cloud is checked by coordinate transformation: one range
-query around the body center gathers the nearby obstacle points, which are
-moved into the vehicle frame and tested against the body rectangle exactly.
+against a point cloud is checked by coordinate transformation: the obstacle
+points near the body center are moved into the vehicle frame and tested
+against the body rectangle exactly. The nearby points come from a memo with
+one entry per MEMO_CELL square of body centers, filled by one range query the
+first time a body center lands in the square; its extra margin makes each
+entry hold every point a query around any center in the square would return.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 Point = tuple[float, float]
 
-INDEX_CELL = 2.0  # [m] side of an ObstacleSet index bucket
+MEMO_CELL = 0.25  # [m] side of the square of body centers one memo entry serves
 
 
 def normalize_angle(theta: float) -> float:
@@ -110,21 +113,21 @@ def point_in_rectangle(body_point: Point, geometry: VehicleGeometry) -> bool:
 
 
 class ObstacleSet:
-    """Immutable planar point-cloud obstacles with a uniform-grid range index.
+    """Immutable planar point-cloud obstacles.
 
-    The index only accelerates range queries; it never changes which points a
-    query returns.
+    A private memo maps (floor(x / MEMO_CELL), floor(y / MEMO_CELL), radius)
+    to the points within radius + MEMO_CELL of that square's center, as Python
+    floats. A point within `radius` of any (x, y) in the square lies within
+    radius + MEMO_CELL / sqrt(2) of its center, 0.07 m inside the entry's disk,
+    so the entry holds every point `query(x, y, radius)` returns, plus more.
+    The memo never changes which points a collision check can find.
     """
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         pts.setflags(write=False)
         self._points = pts
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for i, (x, y) in enumerate(pts):
-            key = (math.floor(x / INDEX_CELL), math.floor(y / INDEX_CELL))
-            buckets.setdefault(key, []).append(i)
-        self._buckets = {k: np.asarray(v, dtype=np.intp) for k, v in buckets.items()}
+        self._memo: dict[tuple[int, int, float], list[list[float]]] = {}
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -135,26 +138,19 @@ class ObstacleSet:
 
     def query(self, x: float, y: float, radius: float) -> np.ndarray:
         """All points with distance <= radius from (x, y), as an (m, 2) array."""
-        if self._points.shape[0] == 0:
-            return self._points
-        c = INDEX_CELL
-        i0 = math.floor((x - radius) / c)
-        i1 = math.floor((x + radius) / c)
-        j0 = math.floor((y - radius) / c)
-        j1 = math.floor((y + radius) / c)
-        hits = []
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                bucket = self._buckets.get((i, j))
-                if bucket is not None:
-                    hits.append(bucket)
-        if not hits:
-            return self._points[:0]
-        idx = np.concatenate(hits)
-        cand = self._points[idx]
-        dx = cand[:, 0] - x
-        dy = cand[:, 1] - y
-        return cand[dx * dx + dy * dy <= radius * radius]
+        dx = self._points[:, 0] - x
+        dy = self._points[:, 1] - y
+        return self._points[dx * dx + dy * dy <= radius * radius]
+
+    def _candidates(self, x: float, y: float, radius: float) -> list[list[float]]:
+        """A superset of query(x, y, radius) as [x, y] float pairs, memoised
+        per MEMO_CELL square of (x, y)."""
+        i, j = math.floor(x / MEMO_CELL), math.floor(y / MEMO_CELL)
+        entry = self._memo.get((i, j, radius))
+        if entry is None:
+            cx, cy = (i + 0.5) * MEMO_CELL, (j + 0.5) * MEMO_CELL
+            entry = self._memo[i, j, radius] = self.query(cx, cy, radius + MEMO_CELL).tolist()
+        return entry
 
 
 def vehicle_collides(
@@ -162,30 +158,25 @@ def vehicle_collides(
 ) -> bool:
     """True iff some obstacle point lies in the closed body rectangle.
 
-    One range query around the body center, of radius half-diagonal + 1e-9 m,
-    gathers the candidates; each is moved into the body frame and tested
-    against the rectangle. No farther point can lie in the rectangle, whose
-    farthest point from its center is a corner; the 1e-9 m margin keeps
-    corner points whose rounded squared distance lands just above the
-    half-diagonal. The verdict equals testing every point."""
+    The candidates are a superset of the points within half-diagonal + 1e-9 m
+    of the body center; each is moved into the body frame and tested against
+    the rectangle. No farther point can lie in the rectangle, whose farthest
+    point from its center is a corner; the 1e-9 m margin keeps corner points
+    whose rounded squared distance lands just above the half-diagonal. The
+    verdict equals testing every point."""
+    x, y = vehicle_pose.x, vehicle_pose.y
     c = math.cos(vehicle_pose.theta)
     s = math.sin(vehicle_pose.theta)
     mid = geometry.body_center_x
     half_w = geometry.width / 2.0
-    cand = obstacles.query(
-        vehicle_pose.x + c * mid,
-        vehicle_pose.y + s * mid,
-        math.hypot(geometry.length / 2.0, half_w) + 1e-9,
-    )
-    if cand.shape[0] == 0:
-        return False
-    dx = cand[:, 0] - vehicle_pose.x
-    dy = cand[:, 1] - vehicle_pose.y
-    bx = c * dx + s * dy
-    by = -s * dx + c * dy
-    inside = (
-        (bx >= -geometry.rear_overhang)
-        & (bx <= geometry.front_extent)
-        & (np.abs(by) <= half_w)
-    )
-    return bool(inside.any())
+    rear = -geometry.rear_overhang
+    front = geometry.front_extent
+    for px, py in obstacles._candidates(
+        x + c * mid, y + s * mid, math.hypot(geometry.length / 2.0, half_w) + 1e-9
+    ):
+        dx = px - x
+        dy = py - y
+        bx = c * dx + s * dy
+        if rear <= bx <= front and abs(-s * dx + c * dy) <= half_w:
+            return True
+    return False

@@ -20,6 +20,7 @@ verification and simply drops out.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
@@ -336,6 +337,32 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
     return RSPath((), 0.0)
 
 
+def _rs_poses(
+    path: RSPath, start: Pose, turning_radius: float, spacing: float
+) -> Iterator[tuple[Pose, Gear]]:
+    """Yield the poses of `rs_sample` one at a time, so that a caller can stop
+    at the first one it rejects."""
+    if spacing <= 0.0:
+        raise ValueError("spacing must be positive")
+    pose = start
+    if not path.segments:
+        yield pose, Gear.FORWARD
+        return
+    yield pose, path.segments[0].gear
+    for seg in path.segments:
+        seg_len = seg.length * turning_radius
+        kappa = float(seg.kind) / turning_radius
+        last = pose
+        n_full = int(seg_len / spacing + 1e-9)
+        for k in range(1, n_full + 1):
+            last = advance_arc(pose, seg.gear, kappa, k * spacing)
+            yield last, seg.gear
+        if n_full * spacing < seg_len - 1e-9:
+            last = advance_arc(pose, seg.gear, kappa, seg_len)
+            yield last, seg.gear
+        pose = last
+
+
 def rs_sample(
     path: RSPath,
     start: Pose,
@@ -344,24 +371,7 @@ def rs_sample(
 ) -> list[tuple[Pose, Gear]]:
     """Poses along the path at arc-length steps of exactly `spacing` within
     each segment (last step shorter), including both endpoints."""
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    samples: list[tuple[Pose, Gear]] = []
-    pose = start
-    if not path.segments:
-        return [(pose, Gear.FORWARD)]
-    for seg in path.segments:
-        seg_len = seg.length * turning_radius
-        kappa = float(seg.kind) / turning_radius
-        if not samples:
-            samples.append((pose, seg.gear))
-        n_full = int(seg_len / spacing + 1e-9)
-        for k in range(1, n_full + 1):
-            samples.append((advance_arc(pose, seg.gear, kappa, k * spacing), seg.gear))
-        if n_full * spacing < seg_len - 1e-9:
-            samples.append((advance_arc(pose, seg.gear, kappa, seg_len), seg.gear))
-        pose = samples[-1][0]
-    return samples
+    return list(_rs_poses(path, start, turning_radius, spacing))
 
 
 def rs_collision_free(
@@ -372,12 +382,13 @@ def rs_collision_free(
     obstacles,
     spacing: float = 0.1,
 ) -> bool:
-    """True iff the vehicle clears the obstacles at every path sample."""
+    """True iff the vehicle clears the obstacles at every path sample; stops
+    at the first colliding one."""
     from .geometry import vehicle_collides
 
     if spacing > 0.1:
         raise ValueError("collision sampling spacing must be <= 0.1 m")
-    for pose, _ in rs_sample(path, start, turning_radius, spacing):
+    for pose, _ in _rs_poses(path, start, turning_radius, spacing):
         if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

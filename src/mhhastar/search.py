@@ -180,7 +180,10 @@ class _Search:
             )
         self.open = OpenList(n + 1)
         self.nodes: dict[CellKey, SearchNode] = {}
-        self.goal_nodes: list[SearchNode] = []
+        # The least-g node in the goal cell, the first inserted among equal g;
+        # goal_rank numbers goal nodes in the order of their first insert.
+        self.goal_node: SearchNode | None = None
+        self.goal_rank: dict[SearchNode, int] = {}
         gx, gy = self.spec.cell_of(goal.x, goal.y)
         self.goal_xyt = (gx, gy, self.spec.heading_bin(goal.theta))
         self.expansions = 0
@@ -195,15 +198,11 @@ class _Search:
         self.open.push(0, node.g + node.h_anchor, node)
         for i in range(1, self.n + 1):
             self.open.push(i, node.g + self.heuristics.scaled(i, node.h_anchor), node)
-        if node.cell[:3] == self.goal_xyt and node not in self.goal_nodes:
-            self.goal_nodes.append(node)
-
-    def _goal_g(self) -> tuple[float, SearchNode | None]:
-        best: SearchNode | None = None
-        for node in self.goal_nodes:
-            if best is None or node.g < best.g:
-                best = node
-        return (best.g, best) if best is not None else (math.inf, None)
+        if node.cell[:3] == self.goal_xyt:
+            rank = self.goal_rank.setdefault(node, len(self.goal_rank))
+            best = self.goal_node
+            if best is None or (node.g, rank) < (best.g, self.goal_rank[best]):
+                self.goal_node = node
 
     def _collides(self, pose: Pose) -> bool:
         return vehicle_collides(pose, self.vehicle, self.obstacles)
@@ -368,11 +367,11 @@ class _Search:
                     )
                 use_i = i if i != 0 and self.open.minkey(i) <= omega * self.open.minkey(0) else 0
                 self.iterations += 1
-                g_goal, goal_node = self._goal_g()
-                if g_goal <= self.open.minkey(use_i):
+                goal_node = self.goal_node
+                if goal_node is not None and goal_node.g <= self.open.minkey(use_i):
                     if use_i != 0:
                         bound = omega * self.open.minkey(0)
-                        assert g_goal <= bound + 1e-6 * max(1.0, bound), (
+                        assert goal_node.g <= bound + 1e-6 * max(1.0, bound), (
                             "suboptimality bound violated at termination"
                         )
                     return self._result(

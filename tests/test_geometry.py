@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhhastar.geometry import (
+    MEMO_CELL,
     ObstacleSet,
     Pose,
     VehicleGeometry,
@@ -207,3 +208,108 @@ class TestObstacleSetQuery:
             got = sorted(map(tuple, obstacles.query(cx, cy, r)))
             want = sorted(p for p in pts if math.dist(p, (cx, cy)) <= r)
             assert got == pytest.approx(want)
+
+
+def brute_force_collides(pose, geometry, pts):
+    return any(point_in_rectangle(world_to_body(pose, p), geometry) for p in pts)
+
+
+def poses_in_square(rng, i, j, mid, count):
+    """Poses whose body center (at `mid` along the heading) lies in memo square
+    (i, j): heading 0 puts the center's y bitwise on the square's lower edge
+    or one step below it (so in square j - 1), heading pi/2 does the same for
+    x when |x| >= 1, and the rest take a random heading and center."""
+    x0, y0 = i * MEMO_CELL, j * MEMO_CELL
+    poses = []
+    for k in range(count):
+        inside_x = x0 + rng.uniform(0.0, MEMO_CELL)
+        inside_y = y0 + rng.uniform(0.0, MEMO_CELL)
+        edge_y = y0 if k % 2 else math.nextafter(y0, -math.inf)
+        edge_x = x0 if k % 2 else math.nextafter(x0, -math.inf)
+        if k % 3 == 0:
+            poses.append(Pose(inside_x - mid, edge_y, 0.0))
+        elif k % 3 == 1 and abs(x0) >= 1.0:
+            poses.append(Pose(edge_x, inside_y - mid, math.pi / 2))
+        else:
+            theta = rng.uniform(-math.pi, math.pi)
+            poses.append(
+                Pose(inside_x - math.cos(theta) * mid, inside_y - math.sin(theta) * mid, theta)
+            )
+    return poses
+
+
+class TestCollisionMemo:
+    # Each test shares one ObstacleSet across all its checks, so later checks
+    # read memo entries that earlier ones filled.
+
+    def test_shared_set_matches_brute_force(self):
+        # Many body centers per memo square, centers on square edges and one
+        # step below them, mostly negative coordinates. One pose per square
+        # owns a point just inside one of its corners, as far from the body
+        # center as a hit can be; squares lie 8 m apart, so each owner's
+        # verdict rests on its own corner point and a sparse background.
+        rng = random.Random(501)
+        mid = CAR.body_center_x
+        rear, front, h = -CAR.rear_overhang, CAR.front_extent, CAR.width / 2.0
+        poses, pts = [], []
+        for i in range(-96, 33, 32):
+            for j in range(-72, 33, 32):
+                square = poses_in_square(rng, i + rng.randrange(4), j + rng.randrange(4), mid, 16)
+                owner = square[0]
+                corner = (rng.choice((rear, front)), rng.choice((-h, h)))
+                nudged = tuple(v - math.copysign(1e-9, v) for v in corner)
+                pts.append(body_to_world(owner, nudged))
+                poses += square
+        pts += [(rng.uniform(-26, 12), rng.uniform(-20, 12)) for _ in range(12)]
+        obstacles = ObstacleSet(pts)
+        verdicts = [vehicle_collides(pose, CAR, obstacles) for pose in poses]
+        assert verdicts == [brute_force_collides(pose, CAR, pts) for pose in poses]
+        # the corner owners all collide, and some other pose does not
+        assert all(verdicts[::16]) and not all(verdicts)
+
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_two_bodies_share_a_set(self, small_first):
+        # Entries are keyed by radius too: the small body's entry must never
+        # serve the car, whose corner points lie beyond it. Both bodies put
+        # their center 1.35 m ahead of the rear axle, so they read one square.
+        small = VehicleGeometry(length=2.7, width=1.0, wheelbase=1.5, rear_overhang=0.0)
+        assert small.body_center_x == pytest.approx(CAR.body_center_x)
+        rng = random.Random(f"502-{small_first}")
+        rear, front, h = -CAR.rear_overhang, CAR.front_extent, CAR.width / 2.0
+        poses, pts = [], []
+        for n in range(30):
+            theta = rng.uniform(-math.pi, math.pi)
+            pose = Pose(-60.0 + 8.0 * n, rng.uniform(-30, 30), theta)
+            corner = (rng.choice((rear, front)), rng.choice((-h, h)))
+            pts.append(body_to_world(pose, tuple(v - math.copysign(1e-9, v) for v in corner)))
+            poses.append(pose)
+        pts += [(rng.uniform(-64, 180), rng.uniform(-34, 34)) for _ in range(200)]
+        obstacles = ObstacleSet(pts)
+        order = (small, CAR) if small_first else (CAR, small)
+        for pose in poses:
+            for geometry in order:
+                want = brute_force_collides(pose, geometry, pts)
+                assert vehicle_collides(pose, geometry, obstacles) == want
+            assert vehicle_collides(pose, CAR, obstacles)
+
+    def test_entry_holds_every_query_point(self):
+        # Query centers anywhere in a square, on its edges, one step below
+        # them, and at negative coordinates all read one entry per square,
+        # and that entry holds every point the query returns.
+        rng = random.Random(503)
+        pts = [(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(3000)]
+        obstacles = ObstacleSet(pts)
+        for radius in (math.hypot(CAR.length / 2, CAR.width / 2) + 1e-9, 1.1, 0.3):
+            for _ in range(150):
+                i, j = rng.randrange(-20, 20), rng.randrange(-20, 20)
+                x0, y0 = i * MEMO_CELL, j * MEMO_CELL
+                xs = (x0, x0 + rng.uniform(0, MEMO_CELL), math.nextafter(x0 + MEMO_CELL, -math.inf))
+                ys = (y0, y0 + rng.uniform(0, MEMO_CELL), math.nextafter(y0 + MEMO_CELL, -math.inf))
+                entry = obstacles._candidates(x0, y0, radius)
+                held = set(map(tuple, entry))
+                for x in xs:
+                    for y in ys:
+                        assert obstacles._candidates(x, y, radius) is entry
+                        assert set(map(tuple, obstacles.query(x, y, radius).tolist())) <= held
+                below = obstacles._candidates(math.nextafter(x0, -math.inf), y0, radius)
+                assert below is not entry

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -97,9 +98,12 @@ class TestImmediateCases:
         assert r.path == []
         assert math.isinf(r.path_length)
 
-    def test_trapped_vehicle_exhausts_open(self):
+    @pytest.mark.parametrize("factors", [(2.0,), (2.0, 3.0)])
+    def test_trapped_vehicle_exhausts_open(self, factors):
         # a pocket barely larger than the body, with a slit the distance field
-        # can leak through but the vehicle cannot: every successor collides
+        # can leak through but the vehicle cannot: every successor collides.
+        # With two inflated queues the second one is served after the first
+        # has emptied every queue, with no goal node to end the search on.
         cx = 1.35
         pts = (
             wall(cx - 2.6, -1.2, cx + 2.6, -1.2)
@@ -109,7 +113,8 @@ class TestImmediateCases:
             + wall(cx + 2.6, -1.2, cx + 2.6, 1.2)
         )
         sc = make_open_scenario(Pose(0, 0, 0), Pose(5, 5, 0), pts, size=8.0)
-        r = mhha_star(sc.start, sc.goal, sc)
+        config = dataclasses.replace(sc.search, inflation_factors=factors)
+        r = mhha_star(sc.start, sc.goal, sc, config)
         assert r.termination is Termination.NO_SOLUTION
         assert r.nodes_expanded >= 1
 
@@ -234,6 +239,53 @@ class TestExpandNode:
         s.expand_node(rev)
         assert [n for n in s.nodes.values() if n.cell == start.cell] == [start]
         assert start.g == 0.0 and start.bp is None
+
+
+class TestGoalNode:
+    def _goal_nodes(self, sc):
+        return [
+            SearchNode(
+                pose=sc.goal, gear=gear, steering=0.0,
+                cell=discretize(sc.goal, gear, sc.workspace), g=math.inf, bp=None,
+            )
+            for gear in (Gear.FORWARD, Gear.REVERSE)
+        ]
+
+    def test_first_inserted_wins_a_tie_after_update(self):
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        s, _ = make_searcher(sc)
+        assert s.goal_node is None
+        first, second = self._goal_nodes(sc)
+        first.g = 5.0
+        s._insert(first)
+        second.g = 3.0
+        s._insert(second)
+        assert s.goal_node is second
+        first.g = 3.0  # an earlier node drops to tie the later best
+        s._insert(first)
+        assert s.goal_node is first
+        second.g = 2.0
+        s._insert(second)
+        assert s.goal_node is second
+
+    def test_matches_a_scan_of_inserted_goal_nodes(self):
+        # The rule the search used to apply on every iteration: scan the goal
+        # nodes in first-insert order, keeping the first with the least g.
+        rng = random.Random(601)
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        for _ in range(30):
+            s, start = make_searcher(sc)
+            nodes = self._goal_nodes(sc)
+            inserted = []
+            for _ in range(10):
+                node = rng.choice(nodes)
+                node.g = min(node.g, float(rng.randrange(1, 6)))
+                s._insert(node)
+                if node not in inserted:
+                    inserted.append(node)
+                assert s.goal_node is min(inserted, key=lambda n: n.g)
+            s._insert(start)
+            assert s.goal_node is min(inserted, key=lambda n: n.g)
 
 
 class TestAnalyticExpansion:
