@@ -7,12 +7,10 @@ from .geometry import (
     VehicleGeometry,
     body_to_world,
     normalize_angle,
-    point_in_rectangle,
     vehicle_collides,
-    world_to_body,
 )
 from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
-from .heuristics import HeuristicSet, h_anchor, h_holonomic, h_nonholonomic
+from .heuristics import HeuristicSet, h_holonomic
 from .reeds_shepp import RSPath, RSSegment, Turn, rs_collision_free, rs_sample, rs_shortest
 from .render import render_svg
 from .scenario import (
@@ -40,7 +38,6 @@ from .vehicle import (
     MotionStep,
     PenaltyConfig,
     VehicleLimits,
-    integrate_arc,
     step_cost,
     successors,
 )
@@ -77,15 +74,11 @@ __all__ = [
     "dijkstra_field",
     "discretize",
     "forward_parking_scenario",
-    "h_anchor",
     "h_holonomic",
-    "h_nonholonomic",
     "hybrid_a_star",
-    "integrate_arc",
     "load_scenario",
     "mhha_star",
     "normalize_angle",
-    "point_in_rectangle",
     "render_svg",
     "rs_collision_free",
     "rs_sample",
@@ -95,5 +88,4 @@ __all__ = [
     "successors",
     "validate",
     "vehicle_collides",
-    "world_to_body",
 ]

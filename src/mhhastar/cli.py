@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .render import render_svg
@@ -27,18 +26,6 @@ _TABLE_ROWS = (
     ("Extension Time (s)", "extension_time"),
     ("Path lengths (m)", "path_length"),
 )
-
-
-@dataclass
-class BenchReport:
-    """Serializable comparison record; metrics are copied verbatim from the
-    planner results, never recomputed."""
-
-    scenario: str
-    config: dict
-    started_at: str
-    finished_at: str
-    planners: dict
 
 
 def _fmt(value) -> str:
@@ -134,16 +121,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
             (out_dir / f"{name}_path.txt").write_text(path_lines(result), encoding="utf-8")
         (out_dir / f"{name}.svg").write_text(render_svg(scenario, result), encoding="utf-8")
 
-    report = BenchReport(
-        scenario=args.scenario,
-        config=scenario_to_dict(scenario)["search"],
-        started_at=started_at,
-        finished_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        planners={name: _metrics_dict(result) for name, result in results.items()},
-    )
-    (out_dir / "report.json").write_text(
-        json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
-    )
+    # Metrics are copied verbatim from the planner results, never recomputed.
+    report = {
+        "scenario": args.scenario,
+        "config": scenario_to_dict(scenario)["search"],
+        "started_at": started_at,
+        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "planners": {name: _metrics_dict(result) for name, result in results.items()},
+    }
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     header = f"{'Performance':<28}{'MHHA*':<16}{'Hybrid A*':<16}"
     print(header)

@@ -56,9 +56,9 @@ class VehicleGeometry:
     rear_overhang: float
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
+        if not self.length > 0.0:
             raise ValueError("length must be positive")
-        if self.width <= 0.0:
+        if not self.width > 0.0:
             raise ValueError("width must be positive")
         if not 0.0 < self.wheelbase < self.length:
             raise ValueError("wheelbase must lie in (0, length)")
@@ -76,18 +76,9 @@ class VehicleGeometry:
         return self.length / 2.0 - self.rear_overhang
 
 
-def world_to_body(vehicle_pose: Pose, world_point: Point) -> Point:
-    """Express a world point in the vehicle frame (origin at the rear axle,
-    x-axis along the heading): translate, then rotate by -theta."""
-    dx = world_point[0] - vehicle_pose.x
-    dy = world_point[1] - vehicle_pose.y
-    c = math.cos(vehicle_pose.theta)
-    s = math.sin(vehicle_pose.theta)
-    return (c * dx + s * dy, -s * dx + c * dy)
-
-
 def body_to_world(vehicle_pose: Pose, body_point: Point) -> Point:
-    """Inverse of world_to_body; used for rendering vehicle outlines."""
+    """A vehicle-frame point (origin at the rear axle, x-axis along the
+    heading) in world coordinates; used for rendering vehicle outlines."""
     c = math.cos(vehicle_pose.theta)
     s = math.sin(vehicle_pose.theta)
     bx, by = body_point
@@ -100,16 +91,6 @@ def body_corners(pose: Pose, geometry: VehicleGeometry) -> list[Point]:
     xr = -geometry.rear_overhang
     h = geometry.width / 2.0
     return [body_to_world(pose, p) for p in ((xr, -h), (xf, -h), (xf, h), (xr, h))]
-
-
-def point_in_rectangle(body_point: Point, geometry: VehicleGeometry) -> bool:
-    """Closed-rectangle membership in the body frame; the boundary counts as
-    inside (conservative collision semantics)."""
-    px, py = body_point
-    return (
-        -geometry.rear_overhang <= px <= geometry.front_extent
-        and abs(py) <= geometry.width / 2.0
-    )
 
 
 class ObstacleSet:

@@ -30,11 +30,11 @@ class GridSpec:
     heading_bins: int = 72
 
     def __post_init__(self) -> None:
-        if self.cell_size <= 0.0:
+        if not self.cell_size > 0.0:
             raise ValueError("cell_size must be positive")
-        if self.heading_bins < 1:
+        if not self.heading_bins >= 1:
             raise ValueError("heading_bins must be >= 1")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("workspace must be non-degenerate")
 
     @property
@@ -55,12 +55,6 @@ class GridSpec:
         ix = min(int(math.floor((x - self.x_min) / self.cell_size)), self.nx - 1)
         iy = min(int(math.floor((y - self.y_min) / self.cell_size)), self.ny - 1)
         return ix, iy
-
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
-        return (
-            self.x_min + (ix + 0.5) * self.cell_size,
-            self.y_min + (iy + 0.5) * self.cell_size,
-        )
 
     def heading_bin(self, theta: float) -> int:
         return round(theta / (2.0 * math.pi / self.heading_bins)) % self.heading_bins
@@ -98,7 +92,6 @@ class DistanceField:
 
     spec: GridSpec
     values: np.ndarray
-    goal_cell: tuple[int, int]
 
     def lookup(self, x: float, y: float) -> float:
         ix, iy = self.spec.cell_of(x, y)
@@ -135,5 +128,5 @@ def dijkstra_field(
                     dist[jx, jy] = nd
                     heapq.heappush(heap, (nd, jx, jy))
     dist.setflags(write=False)
-    return DistanceField(spec, dist, (gx, gy))
+    return DistanceField(spec, dist)
 

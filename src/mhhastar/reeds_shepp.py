@@ -28,6 +28,8 @@ from operator import itemgetter
 from .geometry import Pose, normalize_angle
 from .vehicle import Gear, advance_arc
 
+COLLISION_SPACING = 0.1  # [m] arc length between the poses rs_collision_free checks
+
 
 class Turn(IntEnum):
     """Segment curvature sign in the normalized frame."""
@@ -303,21 +305,6 @@ def _to_path(elements: list[_Element], length: float, turning_radius: float) -> 
     return RSPath(segments, length * turning_radius)
 
 
-def rs_candidates(start: Pose, goal: Pose, turning_radius: float) -> list[RSPath]:
-    """Every endpoint-valid word, in family enumeration order."""
-    if turning_radius <= 0.0:
-        raise ValueError("turning_radius must be positive")
-    x, y, phi = _normalized_goal(start, goal, turning_radius)
-    if _coincident(x, y, phi):
-        return [RSPath((), 0.0)]
-    paths = []
-    for length, params, pattern in _raw_candidates(x, y, phi):
-        elements = _verified(params, pattern, x, y, phi)
-        if elements is not None:
-            paths.append(_to_path(elements, length, turning_radius))
-    return paths
-
-
 def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
     """Minimum-length candidate; ties keep the earliest-enumerated word."""
     if turning_radius <= 0.0:
@@ -375,20 +362,13 @@ def rs_sample(
 
 
 def rs_collision_free(
-    path: RSPath,
-    start: Pose,
-    turning_radius: float,
-    geometry,
-    obstacles,
-    spacing: float = 0.1,
+    path: RSPath, start: Pose, turning_radius: float, geometry, obstacles
 ) -> bool:
-    """True iff the vehicle clears the obstacles at every path sample; stops
-    at the first colliding one."""
+    """True iff the vehicle clears the obstacles at every path sample,
+    COLLISION_SPACING apart; stops at the first colliding one."""
     from .geometry import vehicle_collides
 
-    if spacing > 0.1:
-        raise ValueError("collision sampling spacing must be <= 0.1 m")
-    for pose, _ in _rs_poses(path, start, turning_radius, spacing):
+    for pose, _ in _rs_poses(path, start, turning_radius, COLLISION_SPACING):
         if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

@@ -12,9 +12,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
-from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
+from .geometry import ObstacleSet, Pose, VehicleGeometry
 from .grid import GridSpec
-from .search import SearchConfig, config_problems
+from .search import SearchConfig, config_problems, endpoint_problems
 from .vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
 
 WALL_POINT_SPACING = 0.1  # [m] between sampled wall points
@@ -34,7 +34,7 @@ class SpotSpec:
     center_x: float
 
     def __post_init__(self) -> None:
-        if self.depth <= 0.0 or self.length <= 0.0:
+        if not (self.depth > 0.0 and self.length > 0.0):
             raise ValueError("spot dimensions must be positive")
 
 
@@ -77,11 +77,11 @@ def _parking_walls(
     floor_y = goal.y - spot.depth / 2.0
     left = spot.center_x - spot.length / 2.0
     right = spot.center_x + spot.length / 2.0
-    if (
-        left < workspace.x_min
-        or right > workspace.x_max
-        or floor_y < workspace.y_min
-        or open_y > workspace.y_max
+    if not (
+        left >= workspace.x_min
+        and right <= workspace.x_max
+        and floor_y >= workspace.y_min
+        and open_y <= workspace.y_max
     ):
         raise ValueError("spot extends outside the workspace")
     pts: list[tuple[float, float]] = []
@@ -99,25 +99,26 @@ def build_parallel_parking(
     workspace: GridSpec,
     vehicle: VehicleGeometry,
     limits: VehicleLimits,
-    spot: SpotSpec,
+    spot: SpotSpec | None,
     start: Pose,
     goal: Pose,
     search: SearchConfig | None = None,
     extra_points: Sequence[tuple[float, float]] = (),
 ) -> Scenario:
-    """Deterministically assemble the parallel-parking scenario."""
-    points = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING)
-    points += [(float(x), float(y)) for x, y in extra_points]
+    """Deterministically assemble a scenario: the walls of `spot` (none when
+    it is None), then `extra_points`. The one place a Scenario is built."""
+    extra = tuple((float(x), float(y)) for x, y in extra_points)
+    walls = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING) if spot is not None else []
     return Scenario(
         workspace=workspace,
-        obstacles=ObstacleSet(points),
+        obstacles=ObstacleSet(walls + list(extra)),
         spot=spot,
         start=start,
         goal=goal,
         vehicle=vehicle,
         limits=limits,
         search=search if search is not None else SearchConfig(),
-        extra_points=tuple((float(x), float(y)) for x, y in extra_points),
+        extra_points=extra,
     )
 
 
@@ -152,21 +153,9 @@ def _benchmark_scenario(start: Pose) -> Scenario:
 
 def validate(scenario: Scenario) -> list[str]:
     """All invariant violations, empty when the scenario is usable."""
-    out: list[str] = []
     ws = scenario.workspace
     cfg = scenario.search
-    if not ws.contains(scenario.start.x, scenario.start.y):
-        out.append("start outside workspace")
-    if not ws.contains(scenario.goal.x, scenario.goal.y):
-        out.append("goal outside workspace")
-    if ws.contains(scenario.start.x, scenario.start.y) and vehicle_collides(
-        scenario.start, scenario.vehicle, scenario.obstacles
-    ):
-        out.append("start in collision")
-    if ws.contains(scenario.goal.x, scenario.goal.y) and vehicle_collides(
-        scenario.goal, scenario.vehicle, scenario.obstacles
-    ):
-        out.append("goal in collision")
+    out = endpoint_problems(scenario.start, scenario.goal, scenario)
     for x, y in scenario.obstacles.points:
         if not ws.contains(x, y):
             out.append(f"obstacle point ({x:.3f}, {y:.3f}) outside workspace")
@@ -314,23 +303,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         "search", MotionPrimitiveSet,
         arc_length=s.pop("arc_length"), steering_angles=s.pop("steering_angles"),
     )
-    extra = _read(data.get("obstacles", {}), "obstacles")["extra_points"]
-    points = []
-    if spot is not None:
-        points = _build(
-            "spot", _parking_walls,
-            workspace=workspace, spot=spot, goal=goal, spacing=WALL_POINT_SPACING,
-        )
-    return Scenario(
-        workspace=workspace,
-        obstacles=ObstacleSet(points + list(extra)),
-        spot=spot,
-        start=start,
-        goal=goal,
-        vehicle=vehicle,
-        limits=limits,
+    return _build(
+        "spot", build_parallel_parking,
+        workspace=workspace, vehicle=vehicle, limits=limits, spot=spot, start=start, goal=goal,
         search=SearchConfig(**s, penalties=penalties, primitives=primitives),
-        extra_points=extra,
+        extra_points=_read(data.get("obstacles", {}), "obstacles")["extra_points"],
     )
 
 

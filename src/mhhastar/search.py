@@ -151,13 +151,26 @@ def config_problems(config: SearchConfig) -> list[str]:
     return [message for ok, message in checks if not ok]
 
 
+def endpoint_problems(start: Pose, goal: Pose, scenario) -> list[str]:
+    """Every rule the start and goal poses break, empty when the planner
+    accepts them: each lies in the workspace and there clears the obstacles."""
+    out = []
+    for name, pose in (("start", start), ("goal", goal)):
+        if not scenario.workspace.contains(pose.x, pose.y):
+            out.append(f"{name} outside workspace")
+        elif vehicle_collides(pose, scenario.vehicle, scenario.obstacles):
+            out.append(f"{name} in collision")
+    return out
+
+
 class _Search:
     """State of one planner run over an immutable scenario."""
 
-    def __init__(self, goal: Pose, scenario, config: SearchConfig, n: int, trace: bool):
+    def __init__(self, goal: Pose, scenario, config: SearchConfig, n: int | None, trace: bool):
         self.goal = goal
         self.config = config
-        self.n = n
+        # Queue i >= 1 keys on g + factors[i - 1] * anchor; None keeps them all.
+        self.factors = config.inflation_factors[:n]
         self.spec: GridSpec = scenario.workspace
         self.obstacles: ObstacleSet = scenario.obstacles
         self.vehicle: VehicleGeometry = scenario.vehicle
@@ -175,10 +188,8 @@ class _Search:
         self.setup_time = time.perf_counter() - t0
 
         if self.field is not None:
-            self.heuristics = HeuristicSet(
-                goal, self.field, self.turning_radius, config.inflation_factors[:n]
-            )
-        self.open = OpenList(n + 1)
+            self.heuristics = HeuristicSet(goal, self.field, self.turning_radius)
+        self.open = OpenList(len(self.factors) + 1)
         self.nodes: dict[CellKey, SearchNode] = {}
         # The least-g node in the goal cell, the first inserted among equal g;
         # goal_rank numbers goal nodes in the order of their first insert.
@@ -196,8 +207,8 @@ class _Search:
         """(Re)insert an open node into every queue."""
         node.version += 1
         self.open.push(0, node.g + node.h_anchor, node)
-        for i in range(1, self.n + 1):
-            self.open.push(i, node.g + self.heuristics.scaled(i, node.h_anchor), node)
+        for i, factor in enumerate(self.factors, start=1):
+            self.open.push(i, node.g + factor * node.h_anchor, node)
         if node.cell[:3] == self.goal_xyt:
             rank = self.goal_rank.setdefault(node, len(self.goal_rank))
             best = self.goal_node
@@ -357,7 +368,7 @@ class _Search:
         self.nodes[start_node.cell] = start_node
         self._insert(start_node)
 
-        indices = tuple(range(1, self.n + 1)) if self.n >= 1 else (0,)
+        indices = tuple(range(1, len(self.factors) + 1)) or (0,)
         omega = config.omega_factor
         while self.open.minkey(0) < math.inf:
             for i in indices:
@@ -390,18 +401,18 @@ class _Search:
         return self._result(Termination.NO_SOLUTION, time.perf_counter() - t0)
 
 
-def _plan(start: Pose, goal: Pose, scenario, config: SearchConfig, n: int, trace: bool) -> PlanResult:
+def _plan(
+    start: Pose, goal: Pose, scenario, config: SearchConfig | None, n: int | None, trace: bool
+) -> PlanResult:
+    """Check the inputs as `scenario.validate` does, then search; a missing
+    config falls back to the scenario's, then to the defaults."""
+    config = config if config is not None else getattr(scenario, "search", None) or SearchConfig()
     problems = config_problems(config)
     if problems:
         raise ValueError("invalid search config: " + "; ".join(problems))
-    if vehicle_collides(start, scenario.vehicle, scenario.obstacles):
-        raise ValueError("start pose is in collision")
-    if vehicle_collides(goal, scenario.vehicle, scenario.obstacles):
-        raise ValueError("goal pose is in collision")
-    if not scenario.workspace.contains(start.x, start.y):
-        raise ValueError("start pose outside workspace")
-    if not scenario.workspace.contains(goal.x, goal.y):
-        raise ValueError("goal pose outside workspace")
+    problems = endpoint_problems(start, goal, scenario)
+    if problems:
+        raise ValueError("; ".join(problems))
     return _Search(goal, scenario, config, n, trace).run(start)
 
 
@@ -413,8 +424,7 @@ def mhha_star(
     trace: bool = False,
 ) -> PlanResult:
     """Plan with the anchor plus every configured inflated queue."""
-    config = config if config is not None else getattr(scenario, "search", None) or SearchConfig()
-    return _plan(start, goal, scenario, config, len(config.inflation_factors), trace)
+    return _plan(start, goal, scenario, config, None, trace)
 
 
 def hybrid_a_star(
@@ -425,5 +435,4 @@ def hybrid_a_star(
     trace: bool = False,
 ) -> PlanResult:
     """Anchor-only baseline: identical loop with zero inadmissible queues."""
-    config = config if config is not None else getattr(scenario, "search", None) or SearchConfig()
     return _plan(start, goal, scenario, config, 0, trace)

@@ -20,14 +20,6 @@ class Gear(IntEnum):
     def label(self) -> str:
         return "F" if self is Gear.FORWARD else "R"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Gear":
-        if label == "F":
-            return cls.FORWARD
-        if label == "R":
-            return cls.REVERSE
-        raise ValueError(f"unknown gear label {label!r}")
-
 
 @dataclass(frozen=True)
 class VehicleLimits:
@@ -52,7 +44,7 @@ class MotionPrimitiveSet:
     steering_angles: tuple[float, ...] = (-0.6, 0.0, 0.6)
 
     def __post_init__(self) -> None:
-        if self.arc_length <= 0.0:
+        if not self.arc_length > 0.0:
             raise ValueError("arc_length must be positive")
 
 
@@ -103,34 +95,15 @@ def advance_arc(start: Pose, gear: Gear, curvature: float, ds: float) -> Pose:
     )
 
 
-def integrate_arc(
-    start: Pose,
-    gear: Gear,
-    steering: float,
-    ds: float,
-    wheelbase: float,
-    phi_max: float | None = None,
-) -> Pose:
-    """Closed-form endpoint of driving `ds` meters at a fixed steering angle.
-
-    The turn rate is tan(steering)/wheelbase; reverse driving traverses the
-    same circle backwards.
-    """
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
-    if phi_max is not None and abs(steering) > phi_max:
-        raise ValueError(f"steering {steering} exceeds limit {phi_max}")
-    return advance_arc(start, gear, math.tan(steering) / wheelbase, ds)
-
-
 def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[MotionStep]:
     """All motion steps from `state.pose`, forward gears before reverse,
-    steering angles in listed order."""
+    steering angles in listed order; a step drives arc_length at curvature
+    tan(steering)/wheelbase."""
     pose = state.pose
     steps = []
     for gear in (Gear.FORWARD, Gear.REVERSE):
         for steer in primitives.steering_angles:
-            end = integrate_arc(pose, gear, steer, primitives.arc_length, wheelbase)
+            end = advance_arc(pose, gear, math.tan(steer) / wheelbase, primitives.arc_length)
             steps.append(MotionStep(gear, steer, end, primitives.arc_length))
     return steps
 

@@ -10,7 +10,6 @@ import pytest
 
 from mhhastar import (
     GridSpec,
-    ObstacleSet,
     Pose,
     SearchConfig,
     VehicleGeometry,
@@ -20,8 +19,8 @@ from mhhastar import (
 )
 from mhhastar.grid import build_occupancy, dijkstra_field
 from mhhastar.scenario import (
-    Scenario,
     backward_parking_scenario,
+    build_parallel_parking,
     forward_parking_scenario,
 )
 from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig
@@ -61,16 +60,14 @@ def benchmark_results(forward_scenario, backward_scenario):
 def make_open_scenario(start, goal, points=(), *, size=15.0, cell=0.3, bins=72):
     """Benchmark-sized vehicle in a bare square workspace; the points double
     as extra_points so the scenario survives a save/load round trip."""
-    pts = [(float(x), float(y)) for x, y in points]
-    return Scenario(
+    return build_parallel_parking(
         workspace=GridSpec(-size, size, -size, size, cell, bins),
-        obstacles=ObstacleSet(pts),
+        vehicle=VehicleGeometry(4.7, 2.0, 2.7, 1.0),
+        limits=VehicleLimits(phi_max=0.6),
         spot=None,
         start=start,
         goal=goal,
-        vehicle=VehicleGeometry(4.7, 2.0, 2.7, 1.0),
-        limits=VehicleLimits(phi_max=0.6),
-        extra_points=tuple(pts),
+        extra_points=points,
     )
 
 
@@ -106,14 +103,13 @@ def make_coarse_scenario(setvalue=10**9):
         ),
         inflation_factors=(2.0,),
     )
-    return Scenario(
+    return build_parallel_parking(
         workspace=GridSpec(0.0, 6.0, 0.0, 6.0, 0.5, 8),
-        obstacles=ObstacleSet([]),
+        vehicle=VehicleGeometry(0.4, 0.2, 0.2, 0.1),
+        limits=VehicleLimits(phi_max=COARSE_PHI),
         spot=None,
         start=Pose(0.75, 3.25, 0.0),
         goal=Pose(4.75, 3.25, 0.0),
-        vehicle=VehicleGeometry(0.4, 0.2, 0.2, 0.1),
-        limits=VehicleLimits(phi_max=COARSE_PHI),
         search=config,
     )
 

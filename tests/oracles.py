@@ -5,6 +5,9 @@ quantity it checks: containment uses half-plane tests instead of the frame
 transform, kinematics uses a Runge-Kutta integrator instead of the closed
 form, grid distances use Bellman-Ford relaxation instead of the heap sweep,
 and search costs come from a plain uniform-cost loop without heuristics.
+The curve oracle lists every endpoint-valid Reeds-Shepp word, where the
+library's selection verifies only until the shortest one is found. The frame
+transform and rectangle test are the textbook form of the collision check.
 """
 
 from __future__ import annotations
@@ -13,7 +16,56 @@ import heapq
 import math
 
 from mhhastar.grid import CellKey
+from mhhastar.reeds_shepp import (
+    RSPath,
+    _coincident,
+    _normalized_goal,
+    _raw_candidates,
+    _to_path,
+    _verified,
+)
 from mhhastar.vehicle import Gear, step_cost, successors
+
+
+def world_to_body(vehicle_pose, world_point):
+    """Express a world point in the vehicle frame (origin at the rear axle,
+    x-axis along the heading): translate, then rotate by -theta."""
+    dx = world_point[0] - vehicle_pose.x
+    dy = world_point[1] - vehicle_pose.y
+    c = math.cos(vehicle_pose.theta)
+    s = math.sin(vehicle_pose.theta)
+    return (c * dx + s * dy, -s * dx + c * dy)
+
+
+def point_in_rectangle(body_point, geometry):
+    """Closed-rectangle membership in the body frame; the boundary counts as
+    inside (conservative collision semantics)."""
+    px, py = body_point
+    return (
+        -geometry.rear_overhang <= px <= geometry.front_extent
+        and abs(py) <= geometry.width / 2.0
+    )
+
+
+def cell_center(spec, ix, iy):
+    """World coordinates of the center of grid cell (ix, iy)."""
+    return (
+        spec.x_min + (ix + 0.5) * spec.cell_size,
+        spec.y_min + (iy + 0.5) * spec.cell_size,
+    )
+
+
+def rs_candidates(start, goal, turning_radius):
+    """Every endpoint-valid Reeds-Shepp word, in family enumeration order."""
+    x, y, phi = _normalized_goal(start, goal, turning_radius)
+    if _coincident(x, y, phi):
+        return [RSPath((), 0.0)]
+    paths = []
+    for length, params, pattern in _raw_candidates(x, y, phi):
+        elements = _verified(params, pattern, x, y, phi)
+        if elements is not None:
+            paths.append(_to_path(elements, length, turning_radius))
+    return paths
 
 
 def rectangle_corners(pose, geometry):

@@ -12,12 +12,10 @@ from mhhastar.geometry import (
     VehicleGeometry,
     body_to_world,
     normalize_angle,
-    point_in_rectangle,
     vehicle_collides,
-    world_to_body,
 )
 
-from oracles import polygon_contains, rectangle_corners
+from oracles import point_in_rectangle, polygon_contains, rectangle_corners, world_to_body
 
 CAR = VehicleGeometry(length=4.7, width=2.0, wheelbase=2.7, rear_overhang=1.0)
 

@@ -15,7 +15,7 @@ from mhhastar.grid import (
 )
 from mhhastar.vehicle import Gear
 
-from oracles import bellman_ford_field, octile
+from oracles import bellman_ford_field, cell_center, octile
 
 SPEC = GridSpec(-21.0, 21.0, -1.0, 11.0, cell_size=0.3, heading_bins=72)
 
@@ -68,7 +68,7 @@ class TestOccupancy:
         assert not mask.any()
 
     def test_point_at_cell_center_blocks_exactly_that_cell(self):
-        center = self.SMALL.cell_center(2, 1)
+        center = cell_center(self.SMALL, 2, 1)
         mask = build_occupancy(self.SMALL, ObstacleSet([center]))
         assert mask[2, 1]
         assert mask.sum() == 1
@@ -99,7 +99,7 @@ class TestDijkstraField:
     def test_empty_map_equals_octile(self):
         spec = GridSpec(0, 8, 0, 6, cell_size=0.5, heading_bins=8)
         field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (1.2, 3.1))
-        gx, gy = field.goal_cell
+        gx, gy = spec.cell_of(1.2, 3.1)
         for ix in range(spec.nx):
             for iy in range(spec.ny):
                 expected = octile(ix - gx, iy - gy, spec.cell_size)
@@ -126,7 +126,7 @@ class TestDijkstraField:
             mask = random_mask(rng, nx, ny, fill=0.25)
             free = [(ix, iy) for ix in range(nx) for iy in range(ny) if not mask[ix, iy]]
             gx, gy = rng.choice(free)
-            goal_xy = spec.cell_center(gx, gy)
+            goal_xy = cell_center(spec, gx, gy)
             field = dijkstra_field(spec, mask, goal_xy)
             expected = bellman_ford_field(nx, ny, mask.tolist(), (gx, gy), spec.cell_size)
             for ix in range(nx):
@@ -139,13 +139,13 @@ class TestDijkstraField:
         mask = random_mask(rng, spec.nx, spec.ny, fill=0.1)
         gx, gy = 7, 7
         mask[gx, gy] = False
-        before = dijkstra_field(spec, mask, spec.cell_center(gx, gy))
+        before = dijkstra_field(spec, mask, cell_center(spec, gx, gy))
         more = mask.copy()
         free = [(ix, iy) for ix in range(spec.nx) for iy in range(spec.ny)
                 if not mask[ix, iy] and (ix, iy) != (gx, gy)]
         for ix, iy in rng.sample(free, 10):
             more[ix, iy] = True
-        after = dijkstra_field(spec, more, spec.cell_center(gx, gy))
+        after = dijkstra_field(spec, more, cell_center(spec, gx, gy))
         assert (after.values >= before.values - 1e-12).all()
 
     def test_neighbor_consistency_with_obstacles(self):
@@ -155,7 +155,7 @@ class TestDijkstraField:
         spec = GridSpec(0, 6, 0, 6, cell_size=0.5, heading_bins=8)
         mask = random_mask(rng, spec.nx, spec.ny, fill=0.2)
         mask[4, 4] = False
-        field = dijkstra_field(spec, mask, spec.cell_center(4, 4))
+        field = dijkstra_field(spec, mask, cell_center(spec, 4, 4))
         diag = spec.cell_size * math.sqrt(2.0)
         for ix in range(spec.nx):
             for iy in range(spec.ny):
@@ -177,7 +177,7 @@ class TestDijkstraField:
         # field may legitimately exceed field(b) + octile(a, b)
         spec = GridSpec(0, 6, 0, 6, cell_size=0.5, heading_bins=8)
         field = dijkstra_field(
-            spec, np.zeros((spec.nx, spec.ny), bool), spec.cell_center(4, 4)
+            spec, np.zeros((spec.nx, spec.ny), bool), cell_center(spec, 4, 4)
         )
         cells = [(ix, iy) for ix in range(spec.nx) for iy in range(spec.ny)]
         for a in cells:

@@ -6,7 +6,7 @@ import pytest
 
 from mhhastar.geometry import Pose
 from mhhastar.grid import GridSpec, dijkstra_field
-from mhhastar.heuristics import HeuristicSet, h_anchor, h_holonomic, h_nonholonomic
+from mhhastar.heuristics import HeuristicSet, h_holonomic
 from mhhastar.reeds_shepp import rs_shortest
 
 from oracles import octile
@@ -23,7 +23,12 @@ def empty_field():
 
 @pytest.fixture(scope="module")
 def hset(empty_field):
-    return HeuristicSet(GOAL, empty_field, RADIUS, (2.0,))
+    return HeuristicSet(GOAL, empty_field, RADIUS)
+
+
+def h_nonholonomic(state, goal, radius):
+    """The anchor's curvature-aware component: the shortest Reeds-Shepp length."""
+    return rs_shortest(state, goal, radius).total_length
 
 
 class TestComponents:
@@ -44,81 +49,26 @@ class TestComponents:
         assert h_holonomic(GOAL, empty_field) == 0.0
 
     def test_holonomic_octile_on_empty_map(self, empty_field):
-        gx, gy = empty_field.goal_cell
+        gx, gy = SPEC.cell_of(GOAL.x, GOAL.y)
         pose = Pose(-4.2, 5.6, 1.0)
         ix, iy = SPEC.cell_of(pose.x, pose.y)
         assert h_holonomic(pose, empty_field) == pytest.approx(
             octile(ix - gx, iy - gy, SPEC.cell_size), abs=1e-9
         )
 
-    def test_anchor_is_pointwise_max(self, empty_field):
+    def test_anchor_is_pointwise_max(self, hset, empty_field):
         for x in range(-5, 5):
             for y in range(-5, 5):
                 pose = Pose(x + 0.25, y + 0.25, 0.7)
                 expected = max(
                     h_nonholonomic(pose, GOAL, RADIUS), h_holonomic(pose, empty_field)
                 )
-                assert h_anchor(pose, GOAL, empty_field, RADIUS) == expected
+                assert hset.anchor(pose) == expected
 
 
 class TestHeuristicSet:
-    def test_index_zero_is_anchor(self, hset):
-        pose = Pose(-3.0, 4.0, 0.3)
-        assert hset.scaled(0, hset.anchor(pose)) == hset.anchor(pose)
+    def test_known_anchor_example(self, hset):
+        assert hset.anchor(Pose(GOAL.x - 4.0, GOAL.y, 0.0)) == pytest.approx(4.0)
 
-    def test_inflation_is_exact_multiple(self, hset):
-        pose = Pose(-3.0, 4.0, 0.3)
-        assert hset.scaled(1, hset.anchor(pose)) == 2.0 * hset.anchor(pose)
-
-    def test_known_inflation_example(self, empty_field):
-        hs = HeuristicSet(GOAL, empty_field, RADIUS, (2.0,))
-        pose = Pose(GOAL.x - 4.0, GOAL.y, 0.0)
-        assert hs.scaled(0, hs.anchor(pose)) == pytest.approx(4.0)
-        assert hs.scaled(1, hs.anchor(pose)) == pytest.approx(8.0)
-
-    def test_goal_grounding_all_indices(self, hset):
-        for i in range(hset.n + 1):
-            assert hset.scaled(i, hset.anchor(GOAL)) == 0.0
-
-    def test_index_out_of_range(self, hset):
-        with pytest.raises(IndexError):
-            hset.scaled(2, hset.anchor(GOAL))
-
-    def test_ordering_matches_anchor(self, hset):
-        rng = random.Random(56)
-        poses = [
-            Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
-            for _ in range(50)
-        ]
-        anchor_order = sorted(range(50), key=lambda i: hset.scaled(0, hset.anchor(poses[i])))
-        inflated_order = sorted(range(50), key=lambda i: hset.scaled(1, hset.anchor(poses[i])))
-        assert anchor_order == inflated_order
-
-
-class TestKey:
-    class _Node:
-        def __init__(self, g, pose):
-            self.g = g
-            self.pose = pose
-
-    @staticmethod
-    def _key(node, i, hset):
-        # the open-list priority the search pushes: g + h_i
-        return node.g + hset.scaled(i, hset.anchor(node.pose))
-
-    def test_sum(self, hset):
-        pose = Pose(GOAL.x - 3.0, GOAL.y, 0.0)
-        node = self._Node(2.0, pose)
-        assert self._key(node, 0, hset) == pytest.approx(2.0 + 3.0)
-
-    def test_at_goal_equals_g(self, hset):
-        node = self._Node(7.5, GOAL)
-        assert self._key(node, 0, hset) == 7.5
-        assert self._key(node, 1, hset) == 7.5
-
-    def test_inflated_key_dominates(self, hset):
-        rng = random.Random(57)
-        for _ in range(100):
-            pose = Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
-            node = self._Node(rng.uniform(0, 20), pose)
-            assert self._key(node, 1, hset) >= self._key(node, 0, hset)
+    def test_goal_grounding(self, hset):
+        assert hset.anchor(GOAL) == 0.0

@@ -3,18 +3,18 @@ import random
 
 import pytest
 
-from mhhastar.geometry import Pose, normalize_angle
+from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, normalize_angle, vehicle_collides
 from mhhastar.reeds_shepp import (
     RSPath,
     RSSegment,
     Turn,
-    rs_candidates,
     rs_collision_free,
     rs_sample,
     rs_shortest,
 )
-from mhhastar.geometry import ObstacleSet, VehicleGeometry
 from mhhastar.vehicle import Gear
+
+from oracles import rs_candidates
 
 
 def random_pose(rng, span=10.0):
@@ -189,13 +189,8 @@ class TestCollisionFree:
             path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([(4.0, 0.0)])
         )
 
-    def test_rejects_coarse_spacing(self):
-        path = rs_shortest(Pose(0, 0, 0), Pose(8, 0, 0), 2.0)
-        with pytest.raises(ValueError):
-            rs_collision_free(path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([]), 0.2)
-
     def test_refinement_stability(self):
-        # verdicts at the default spacing agree with a 10x finer sampling
+        # verdicts at the 0.1 m collision spacing agree with a 10x finer sampling
         rng = random.Random(106)
         agreements = 0
         for _ in range(200):
@@ -203,8 +198,11 @@ class TestCollisionFree:
             pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(25)]
             obstacles = ObstacleSet(pts)
             path = rs_shortest(a, b, 3.0)
-            coarse = rs_collision_free(path, a, 3.0, self.CAR, obstacles, 0.1)
-            fine = rs_collision_free(path, a, 3.0, self.CAR, obstacles, 0.01)
+            coarse = rs_collision_free(path, a, 3.0, self.CAR, obstacles)
+            fine = not any(
+                vehicle_collides(pose, self.CAR, obstacles)
+                for pose, _ in rs_sample(path, a, 3.0, 0.01)
+            )
             if coarse == fine:
                 agreements += 1
         assert agreements >= 198  # collisions grazing a sample boundary are rare

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
+from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
+from mhhastar.grid import GridSpec
 from mhhastar.scenario import (
     Scenario,
     ScenarioError,
@@ -29,7 +30,43 @@ from mhhastar.scenario import (
     validate,
 )
 from mhhastar.search import SearchConfig
-from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig
+from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
+
+
+NAN = math.nan
+
+
+def _spot_at(center_x):
+    sc = forward_parking_scenario()
+    return build_parallel_parking(
+        workspace=sc.workspace, vehicle=sc.vehicle, limits=sc.limits,
+        spot=SpotSpec(3.0, 7.2, center_x), start=sc.start, goal=sc.goal,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: VehicleGeometry(NAN, 2.0, 2.7, 1.0), id="vehicle.length"),
+        pytest.param(lambda: VehicleGeometry(4.7, NAN, 2.7, 1.0), id="vehicle.width"),
+        pytest.param(lambda: VehicleGeometry(4.7, 2.0, NAN, 1.0), id="vehicle.wheelbase"),
+        pytest.param(lambda: VehicleGeometry(4.7, 2.0, 2.7, NAN), id="vehicle.rear_overhang"),
+        pytest.param(lambda: VehicleLimits(phi_max=NAN), id="vehicle.phi_max"),
+        pytest.param(lambda: GridSpec(NAN, 21.0, -1.0, 11.0), id="workspace.x_min"),
+        pytest.param(lambda: GridSpec(-21.0, NAN, -1.0, 11.0), id="workspace.x_max"),
+        pytest.param(lambda: GridSpec(-21.0, 21.0, NAN, 11.0), id="workspace.y_min"),
+        pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, NAN), id="workspace.y_max"),
+        pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, 11.0, NAN), id="workspace.cell_size"),
+        pytest.param(lambda: MotionPrimitiveSet(arc_length=NAN), id="search.arc_length"),
+        pytest.param(lambda: SpotSpec(NAN, 7.2, 0.0), id="spot.depth"),
+        pytest.param(lambda: SpotSpec(3.0, NAN, 0.0), id="spot.length"),
+        pytest.param(lambda: _spot_at(NAN), id="spot.center_x"),
+    ],
+)
+def test_nan_value_rejected(make):
+    # each rule is written in the "ok" form, so that NaN fails it
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestBuild:

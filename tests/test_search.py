@@ -6,6 +6,7 @@ import pytest
 
 from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
 from mhhastar.grid import CellKey, discretize
+from mhhastar.scenario import validate
 from mhhastar.search import (
     OpenList,
     SearchConfig,
@@ -13,6 +14,7 @@ from mhhastar.search import (
     SearchNode,
     Termination,
     _Search,
+    endpoint_problems,
     hybrid_a_star,
     mhha_star,
 )
@@ -118,19 +120,21 @@ class TestImmediateCases:
         assert r.termination is Termination.NO_SOLUTION
         assert r.nodes_expanded >= 1
 
-    def test_colliding_start_rejected(self):
-        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0), [(1.0, 0.0)])
-        with pytest.raises(ValueError, match="start"):
-            mhha_star(sc.start, sc.goal, sc)
-
-    def test_colliding_goal_rejected(self):
-        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0), [(9.0, 0.0)])
-        with pytest.raises(ValueError, match="goal"):
-            mhha_star(sc.start, sc.goal, sc)
-
-    def test_out_of_workspace_endpoints_rejected(self):
-        sc = make_open_scenario(Pose(0, 0, 0), Pose(20.0, 0, 0))
-        with pytest.raises(ValueError, match="workspace"):
+    @pytest.mark.parametrize(
+        "start, goal, points, message",
+        [
+            (Pose(20.0, 0, 0), Pose(8, 0, 0), [], "start outside workspace"),
+            (Pose(0, 0, 0), Pose(20.0, 0, 0), [], "goal outside workspace"),
+            (Pose(0, 0, 0), Pose(8, 0, 0), [(1.0, 0.0)], "start in collision"),
+            (Pose(0, 0, 0), Pose(8, 0, 0), [(9.0, 0.0)], "goal in collision"),
+        ],
+    )
+    def test_endpoint_defect_reported_alike(self, start, goal, points, message):
+        # `validate` and the planner share one start/goal check
+        sc = make_open_scenario(start, goal, points)
+        assert endpoint_problems(sc.start, sc.goal, sc) == [message]
+        assert validate(sc) == [message]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             mhha_star(sc.start, sc.goal, sc)
 
     def test_bad_config_rejected(self):
@@ -174,13 +178,74 @@ def make_searcher(sc, n=1):
     return s, start
 
 
+class TestQueueKeys:
+    """Queue 0 keys a node on g + anchor, queue i >= 1 on g + factor * anchor."""
+
+    @pytest.fixture
+    def s(self):
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        config = dataclasses.replace(sc.search, inflation_factors=(2.0, 3.0))
+        return _Search(sc.goal, sc, config, None, trace=False)
+
+    @staticmethod
+    def _node(s, g, pose):
+        return SearchNode(
+            pose=pose, gear=Gear.FORWARD, steering=0.0,
+            cell=discretize(pose, Gear.FORWARD, s.spec),
+            g=g, bp=None, h_anchor=s.heuristics.anchor(pose),
+        )
+
+    def _keys(self, s, g, pose):
+        """Every queue's key for one inserted node, which is then dropped."""
+        node = self._node(s, g, pose)
+        s._insert(node)
+        keys = [s.open.minkey(i) for i in range(len(s.factors) + 1)]
+        node.version += 1
+        return keys
+
+    def test_index_zero_is_anchor_and_inflation_is_exact_multiple(self, s):
+        pose = Pose(-3.0, 4.0, 0.3)
+        h = s.heuristics.anchor(pose)
+        assert self._keys(s, 1.25, pose) == [1.25 + h, 1.25 + 2.0 * h, 1.25 + 3.0 * h]
+
+    def test_known_inflation_example(self, s):
+        keys = self._keys(s, 0.0, Pose(s.goal.x - 4.0, s.goal.y, 0.0))
+        assert keys == pytest.approx([4.0, 8.0, 12.0])
+
+    def test_sum(self, s):
+        assert self._keys(s, 2.0, Pose(s.goal.x - 3.0, s.goal.y, 0.0))[0] == pytest.approx(5.0)
+
+    def test_at_goal_equals_g(self, s):
+        assert self._keys(s, 7.5, s.goal) == [7.5, 7.5, 7.5]
+
+    def test_inflated_key_dominates(self, s):
+        rng = random.Random(57)
+        for _ in range(100):
+            pose = Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
+            keys = self._keys(s, rng.uniform(0, 20), pose)
+            assert keys[1] >= keys[0] and keys[2] >= keys[0]
+
+    def test_ordering_matches_anchor(self, s):
+        # at g = 0 every inflated queue serves the nodes in anchor order
+        rng = random.Random(56)
+        for _ in range(50):
+            pose = Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
+            s._insert(self._node(s, 0.0, pose))
+        served = 0
+        while (head := s.open.top(0)) is not None:
+            assert s.open.top(1) is head and s.open.top(2) is head
+            head.version += 1
+            served += 1
+        assert served == 50
+
+
 class TestExpandNode:
     def test_expansion_removes_and_closes(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
         s.expand_node(start)
         assert start.closed
-        for i in range(s.n + 1):
+        for i in range(len(s.factors) + 1):
             assert s.open.top(i) is not start
         assert s.expansions == 1
 
