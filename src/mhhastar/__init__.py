@@ -17,9 +17,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     SpotSpec,
-    backward_parking_scenario,
     build_parallel_parking,
-    forward_parking_scenario,
     load_scenario,
     save_scenario,
     validate,
@@ -43,49 +41,3 @@ from .vehicle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CellKey",
-    "DistanceField",
-    "Gear",
-    "GridSpec",
-    "HeuristicSet",
-    "MotionPrimitiveSet",
-    "MotionStep",
-    "ObstacleSet",
-    "PenaltyConfig",
-    "PlanResult",
-    "Pose",
-    "RSPath",
-    "RSSegment",
-    "Scenario",
-    "ScenarioError",
-    "SearchConfig",
-    "SearchLimitError",
-    "SpotSpec",
-    "Termination",
-    "Turn",
-    "VehicleGeometry",
-    "VehicleLimits",
-    "backward_parking_scenario",
-    "body_to_world",
-    "build_occupancy",
-    "build_parallel_parking",
-    "dijkstra_field",
-    "discretize",
-    "forward_parking_scenario",
-    "h_holonomic",
-    "hybrid_a_star",
-    "load_scenario",
-    "mhha_star",
-    "normalize_angle",
-    "render_svg",
-    "rs_collision_free",
-    "rs_sample",
-    "rs_shortest",
-    "save_scenario",
-    "step_cost",
-    "successors",
-    "validate",
-    "vehicle_collides",
-]

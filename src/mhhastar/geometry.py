@@ -56,10 +56,10 @@ class VehicleGeometry:
     rear_overhang: float
 
     def __post_init__(self) -> None:
-        if not self.length > 0.0:
-            raise ValueError("length must be positive")
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
+        if not (self.length > 0.0 and math.isfinite(self.length)):
+            raise ValueError("length must be positive and finite")
+        if not (self.width > 0.0 and math.isfinite(self.width)):
+            raise ValueError("width must be positive and finite")
         if not 0.0 < self.wheelbase < self.length:
             raise ValueError("wheelbase must lie in (0, length)")
         if not 0.0 <= self.rear_overhang <= self.length - self.wheelbase:

@@ -30,6 +30,9 @@ class GridSpec:
     heading_bins: int = 72
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max, self.cell_size)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("workspace bounds and cell_size must be finite")
         if not self.cell_size > 0.0:
             raise ValueError("cell_size must be positive")
         if not self.heading_bins >= 1:

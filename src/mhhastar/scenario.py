@@ -1,8 +1,8 @@
 """Parking scenario construction, JSON scenario files, and validation.
 
 A scenario bundles the workspace grid, the point-cloud obstacles, the vehicle
-description, start/goal poses, and the search configuration. The bundled
-benchmark is a parallel-parking spot cut into the lower boundary wall.
+description, start/goal poses, and the search configuration. The shipped
+benchmark files cut a parallel-parking spot into the lower boundary wall.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .geometry import ObstacleSet, Pose, VehicleGeometry
 from .grid import GridSpec
-from .search import SearchConfig, config_problems, endpoint_problems
+from .search import SearchConfig, input_problems
 from .vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
 
 WALL_POINT_SPACING = 0.1  # [m] between sampled wall points
@@ -36,6 +36,8 @@ class SpotSpec:
     def __post_init__(self) -> None:
         if not (self.depth > 0.0 and self.length > 0.0):
             raise ValueError("spot dimensions must be positive")
+        if not all(map(math.isfinite, (self.depth, self.length, self.center_x))):
+            raise ValueError("spot values must be finite")
 
 
 @dataclass
@@ -122,54 +124,13 @@ def build_parallel_parking(
     )
 
 
-def forward_parking_scenario() -> Scenario:
-    """Bundled benchmark: approach the spot driving toward it from the left."""
-    return _benchmark_scenario(start=Pose(-9.0, 8.0, 0.0))
-
-
-def backward_parking_scenario() -> Scenario:
-    """Bundled benchmark: the spot lies behind the initial heading."""
-    return _benchmark_scenario(start=Pose(12.0, 8.0, 0.0))
-
-
-def _benchmark_scenario(start: Pose) -> Scenario:
-    vehicle = VehicleGeometry(length=4.7, width=2.0, wheelbase=2.7, rear_overhang=1.0)
-    goal = Pose(-1.35, 1.5, 0.0)
-    # Center the spot on the parked body, not the rear axle: the goal's x is
-    # exactly -(length/2 - rear_overhang), which puts the body center at 0.
-    spot_center = goal.x + vehicle.body_center_x
-    return build_parallel_parking(
-        workspace=GridSpec(-21.0, 21.0, -1.0, 11.0, cell_size=0.3, heading_bins=72),
-        vehicle=vehicle,
-        limits=VehicleLimits(phi_max=0.6),
-        spot=SpotSpec(depth=3.0, length=7.2, center_x=spot_center),
-        start=start,
-        goal=goal,
-    )
-
-
 # -- validation ----------------------------------------------------------------
 
 
 def validate(scenario: Scenario) -> list[str]:
-    """All invariant violations, empty when the scenario is usable."""
-    ws = scenario.workspace
-    cfg = scenario.search
-    out = endpoint_problems(scenario.start, scenario.goal, scenario)
-    for x, y in scenario.obstacles.points:
-        if not ws.contains(x, y):
-            out.append(f"obstacle point ({x:.3f}, {y:.3f}) outside workspace")
-    out += config_problems(cfg)
-    prim = cfg.primitives
-    diag = ws.cell_size * math.sqrt(2.0)
-    if not prim.arc_length > diag:
-        out.append(
-            f"arc_length {prim.arc_length} does not exceed the cell diagonal {diag:.4f}"
-        )
-    for steer in prim.steering_angles:
-        if abs(steer) > scenario.limits.phi_max:
-            out.append(f"steering angle {steer} exceeds phi_max {scenario.limits.phi_max}")
-    return out
+    """All invariant violations, empty when the scenario is usable: exactly
+    the problems on which the planners refuse it."""
+    return input_problems(scenario.start, scenario.goal, scenario, scenario.search)
 
 
 # -- scenario files --------------------------------------------------------------

@@ -94,9 +94,9 @@ class OpenList:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Planner knobs. Their rules live in `config_problems` alone: the
-    planner raises on any problem it lists, and `scenario.validate` reports
-    them next to the checks that need the workspace and the vehicle."""
+    """Planner knobs. Their rules live in `input_problems` alone, next to the
+    ones that need the workspace and the vehicle: the planners raise on
+    every problem it lists, and `scenario.validate` returns the list."""
 
     omega_factor: float = 2.0
     setvalue: int = 5
@@ -130,10 +130,28 @@ class PlanResult:
         return self.termination is not Termination.NO_SOLUTION
 
 
-def config_problems(config: SearchConfig) -> list[str]:
-    """Every rule `config` breaks, empty when the planner accepts it. Each
-    test is written as "ok" so that NaN fails it."""
+def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> list[str]:
+    """Every rule the planner input breaks, empty when the planners accept
+    it: the endpoints, the obstacle points, the config, and the primitives
+    against the grid and the steering limit. Each test is written as "ok"
+    so that NaN fails it."""
+    ws = scenario.workspace
+    out = []
+    for name, pose in (("start", start), ("goal", goal)):
+        if not ws.contains(pose.x, pose.y):
+            out.append(f"{name} outside workspace")
+        elif vehicle_collides(pose, scenario.vehicle, scenario.obstacles):
+            out.append(f"{name} in collision")
+    x, y = scenario.obstacles.points.T
+    inside = (ws.x_min <= x) & (x <= ws.x_max) & (ws.y_min <= y) & (y <= ws.y_max)
+    out += [
+        f"obstacle point ({px:.3f}, {py:.3f}) outside workspace"
+        for px, py in scenario.obstacles.points[~inside].tolist()
+    ]
     pen = config.penalties
+    prim = config.primitives
+    diag = ws.cell_size * math.sqrt(2.0)
+    phi_max = scenario.limits.phi_max
     checks = [
         (config.omega_factor >= 1.0, "omega_factor < 1"),
         (config.setvalue >= 1, "setvalue < 1"),
@@ -147,20 +165,16 @@ def config_problems(config: SearchConfig) -> list[str]:
             (getattr(pen, name) >= 0.0, f"penalties.{name} < 0")
             for name in ("switchback", "steer_change", "steer_hold")
         ),
+        (
+            prim.arc_length > diag,
+            f"arc_length {prim.arc_length} does not exceed the cell diagonal {diag:.4f}",
+        ),
+        *(
+            (abs(steer) <= phi_max, f"steering angle {steer} exceeds phi_max {phi_max}")
+            for steer in prim.steering_angles
+        ),
     ]
-    return [message for ok, message in checks if not ok]
-
-
-def endpoint_problems(start: Pose, goal: Pose, scenario) -> list[str]:
-    """Every rule the start and goal poses break, empty when the planner
-    accepts them: each lies in the workspace and there clears the obstacles."""
-    out = []
-    for name, pose in (("start", start), ("goal", goal)):
-        if not scenario.workspace.contains(pose.x, pose.y):
-            out.append(f"{name} outside workspace")
-        elif vehicle_collides(pose, scenario.vehicle, scenario.obstacles):
-            out.append(f"{name} in collision")
-    return out
+    return out + [message for ok, message in checks if not ok]
 
 
 class _Search:
@@ -404,13 +418,10 @@ class _Search:
 def _plan(
     start: Pose, goal: Pose, scenario, config: SearchConfig | None, n: int | None, trace: bool
 ) -> PlanResult:
-    """Check the inputs as `scenario.validate` does, then search; a missing
-    config falls back to the scenario's, then to the defaults."""
-    config = config if config is not None else getattr(scenario, "search", None) or SearchConfig()
-    problems = config_problems(config)
-    if problems:
-        raise ValueError("invalid search config: " + "; ".join(problems))
-    problems = endpoint_problems(start, goal, scenario)
+    """Refuse the input on every problem `input_problems` lists, then search;
+    a missing config falls back to the scenario's."""
+    config = config if config is not None else scenario.search
+    problems = input_problems(start, goal, scenario, config)
     if problems:
         raise ValueError("; ".join(problems))
     return _Search(goal, scenario, config, n, trace).run(start)

@@ -44,8 +44,8 @@ class MotionPrimitiveSet:
     steering_angles: tuple[float, ...] = (-0.6, 0.0, 0.6)
 
     def __post_init__(self) -> None:
-        if not self.arc_length > 0.0:
-            raise ValueError("arc_length must be positive")
+        if not (self.arc_length > 0.0 and math.isfinite(self.arc_length)):
+            raise ValueError("arc_length must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Shared fixtures: the two benchmark scenarios, their planner runs (computed
-once per session), and a small exhaustively-searchable scenario whose optimal
-costs a plain uniform-cost sweep can certify."""
+"""Shared fixtures: the two benchmark scenarios, loaded from the shipped
+`scenarios/*.json`, their planner runs (computed once per session), and a
+small exhaustively-searchable scenario whose optimal costs a plain
+uniform-cost sweep can certify."""
 
 from __future__ import annotations
 
 import math
+import pathlib
 
 import pytest
 
@@ -18,14 +20,12 @@ from mhhastar import (
     mhha_star,
 )
 from mhhastar.grid import build_occupancy, dijkstra_field
-from mhhastar.scenario import (
-    backward_parking_scenario,
-    build_parallel_parking,
-    forward_parking_scenario,
-)
+from mhhastar.scenario import build_parallel_parking, load_scenario
 from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig
 
 from oracles import uniform_cost_over_primitives
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def pytest_runtest_logreport(report):
@@ -38,12 +38,12 @@ def pytest_runtest_logreport(report):
 
 @pytest.fixture(scope="session")
 def forward_scenario():
-    return forward_parking_scenario()
+    return load_scenario(SCENARIOS / "forward_parking.json")
 
 
 @pytest.fixture(scope="session")
 def backward_scenario():
-    return backward_parking_scenario()
+    return load_scenario(SCENARIOS / "backward_parking.json")
 
 
 @pytest.fixture(scope="session")

@@ -12,17 +12,13 @@ from mhhastar.scenario import save_scenario
 from mhhastar.search import Termination
 from mhhastar.vehicle import Gear
 
-from conftest import make_open_scenario
+from conftest import SCENARIOS, make_open_scenario
 from mhhastar.geometry import Pose
 
 
 @pytest.fixture(scope="module")
-def forward_file(tmp_path_factory):
-    from mhhastar.scenario import forward_parking_scenario
-
-    path = tmp_path_factory.mktemp("scenarios") / "forward.json"
-    save_scenario(forward_parking_scenario(), path)
-    return path
+def forward_file():
+    return SCENARIOS / "forward_parking.json"
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
-import pathlib
 import re
 import subprocess
 import sys
@@ -20,27 +20,55 @@ from mhhastar.scenario import (
     SpotSpec,
     WALL_POINT_SPACING,
     _parking_walls,
-    backward_parking_scenario,
     build_parallel_parking,
-    forward_parking_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
 )
-from mhhastar.search import SearchConfig
+from mhhastar.search import SearchConfig, hybrid_a_star, mhha_star
 from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
+
+from conftest import SCENARIOS as BUNDLED
 
 
 NAN = math.nan
+INF = math.inf
+
+
+def _forward_data() -> dict:
+    return json.loads((BUNDLED / "forward_parking.json").read_text())
 
 
 def _spot_at(center_x):
-    sc = forward_parking_scenario()
+    sc = load_scenario(BUNDLED / "forward_parking.json")
     return build_parallel_parking(
         workspace=sc.workspace, vehicle=sc.vehicle, limits=sc.limits,
         spot=SpotSpec(3.0, 7.2, center_x), start=sc.start, goal=sc.goal,
+    )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def search_configs(draw):
+    return SearchConfig(
+        omega_factor=draw(finite),
+        setvalue=draw(st.integers(-10, 10**9)),
+        max_iterations=draw(st.integers(-10, 10**9)),
+        penalties=PenaltyConfig(
+            reverse_mult=draw(finite),
+            switchback=draw(finite),
+            steer_change=draw(finite),
+            steer_hold=draw(finite),
+        ),
+        primitives=MotionPrimitiveSet(
+            arc_length=draw(st.floats(min_value=1e-6, max_value=1e6)),
+            steering_angles=tuple(draw(st.lists(finite, max_size=5))),
+        ),
+        inflation_factors=tuple(draw(st.lists(finite, max_size=4))),
     )
 
 
@@ -61,22 +89,35 @@ def _spot_at(center_x):
         pytest.param(lambda: SpotSpec(NAN, 7.2, 0.0), id="spot.depth"),
         pytest.param(lambda: SpotSpec(3.0, NAN, 0.0), id="spot.length"),
         pytest.param(lambda: _spot_at(NAN), id="spot.center_x"),
+        pytest.param(lambda: VehicleGeometry(INF, 2.0, 2.7, 1.0), id="vehicle.length-inf"),
+        pytest.param(lambda: VehicleGeometry(4.7, INF, 2.7, 1.0), id="vehicle.width-inf"),
+        pytest.param(lambda: GridSpec(-INF, 21.0, -1.0, 11.0), id="workspace.x_min-inf"),
+        pytest.param(lambda: GridSpec(-21.0, INF, -1.0, 11.0), id="workspace.x_max-inf"),
+        pytest.param(lambda: GridSpec(-21.0, 21.0, -INF, 11.0), id="workspace.y_min-inf"),
+        pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, INF), id="workspace.y_max-inf"),
+        pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, 11.0, INF), id="workspace.cell_size-inf"),
+        pytest.param(lambda: MotionPrimitiveSet(arc_length=INF), id="search.arc_length-inf"),
+        pytest.param(lambda: SpotSpec(INF, 7.2, 0.0), id="spot.depth-inf"),
+        pytest.param(lambda: SpotSpec(3.0, INF, 0.0), id="spot.length-inf"),
+        pytest.param(lambda: SpotSpec(3.0, 7.2, INF), id="spot.center_x-inf"),
+        pytest.param(lambda: SpotSpec(3.0, 7.2, -INF), id="spot.center_x-minus-inf"),
     ],
 )
 def test_nan_value_rejected(make):
-    # each rule is written in the "ok" form, so that NaN fails it
+    # each rule is written in the "ok" form, so that NaN fails it; an
+    # infinite value fails at construction too
     with pytest.raises(ValueError):
         make()
 
 
 class TestBuild:
-    def test_benchmark_layout(self, forward_scenario):
+    def test_benchmark_layout(self, forward_scenario, backward_scenario):
         ws = forward_scenario.workspace
         assert (ws.x_min, ws.x_max, ws.y_min, ws.y_max) == (-21.0, 21.0, -1.0, 11.0)
         assert forward_scenario.spot == SpotSpec(3.0, 7.2, 0.0)
         assert forward_scenario.goal == Pose(-1.35, 1.5, 0.0)
         assert forward_scenario.start == Pose(-9.0, 8.0, 0.0)
-        assert backward_parking_scenario().start == Pose(12.0, 8.0, 0.0)
+        assert backward_scenario.start == Pose(12.0, 8.0, 0.0)
 
     def test_goal_is_collision_free(self, forward_scenario):
         assert not vehicle_collides(
@@ -88,8 +129,8 @@ class TestBuild:
         assert validate(backward_scenario) == []
 
     def test_deterministic(self):
-        a = forward_parking_scenario()
-        b = forward_parking_scenario()
+        a = load_scenario(BUNDLED / "forward_parking.json")
+        b = load_scenario(BUNDLED / "forward_parking.json")
         assert (a.obstacles.points == b.obstacles.points).all()
 
     def test_wall_sampling_spacing(self, forward_scenario):
@@ -158,10 +199,49 @@ class TestValidate:
         assert any("exceeds phi_max" in v for v in validate(bad))
 
     def test_out_of_workspace_obstacles_flagged(self, forward_scenario):
-        bad = dataclasses.replace(
-            forward_scenario, start=Pose(-25.0, 8.0, 0.0)
+        bad = build_parallel_parking(
+            workspace=forward_scenario.workspace,
+            vehicle=forward_scenario.vehicle,
+            limits=forward_scenario.limits,
+            spot=forward_scenario.spot,
+            start=forward_scenario.start,
+            goal=forward_scenario.goal,
+            extra_points=[(5.0, 5.0), (-25.0, 8.0), (0.0, NAN)],
         )
-        assert any("start outside workspace" in v for v in validate(bad))
+        assert validate(bad) == [
+            "obstacle point (-25.000, 8.000) outside workspace",
+            "obstacle point (0.000, nan) outside workspace",
+        ]
+
+    def test_obstacle_rule_matches_point_loop(self, forward_scenario):
+        # the rule is one numpy mask; the per-point loop over
+        # `GridSpec.contains` that it replaced is the reference
+        ws = forward_scenario.workspace
+        edges = (ws.x_min, ws.x_max, ws.y_min, ws.y_max)
+        near = [math.nextafter(e, side * INF) for e in edges for side in (-1, 1)]
+        coords = [*edges, *near, 0.0, NAN, INF, -INF]
+        points = list(itertools.product(coords, coords))
+        sc = dataclasses.replace(forward_scenario, obstacles=ObstacleSet(points))
+        assert [v for v in validate(sc) if v.startswith("obstacle point")] == [
+            f"obstacle point ({x:.3f}, {y:.3f}) outside workspace"
+            for x, y in points
+            if not ws.contains(x, y)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=search_configs())
+    def test_planners_refuse_exactly_what_validate_lists(self, forward_scenario, config):
+        # one rule list: a planner raises on every problem `validate` lists,
+        # with a config given directly or taken from the scenario
+        scenario = dataclasses.replace(forward_scenario, search=config)
+        problems = validate(scenario)
+        if not problems:
+            return  # planning the valid draws would only slow the test
+        s, g = scenario.start, scenario.goal
+        for plan in (lambda: mhha_star(s, g, scenario), lambda: hybrid_a_star(s, g, forward_scenario, config)):
+            with pytest.raises(ValueError) as err:
+                plan()
+            assert str(err.value) == "; ".join(problems)
 
 
 class TestFiles:
@@ -181,45 +261,45 @@ class TestFiles:
         assert (loaded.obstacles.points == forward_scenario.obstacles.points).all()
 
     def test_unknown_top_level_key_rejected(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["surprise"] = 1
         with pytest.raises(ScenarioError, match="unknown key.*surprise"):
             scenario_from_dict(data)
 
     def test_unknown_nested_key_rejected(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["search"]["penalties"]["steer_bonus"] = 1.0
         with pytest.raises(ScenarioError, match="search.penalties.*steer_bonus"):
             scenario_from_dict(data)
 
     def test_missing_section_diagnostic(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         del data["vehicle"]
         with pytest.raises(ScenarioError, match="scenario.vehicle"):
             scenario_from_dict(data)
 
     def test_type_error_diagnostic(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["goal"]["x"] = "left"
         with pytest.raises(ScenarioError, match="goal.x"):
             scenario_from_dict(data)
 
     def test_constructor_errors_carry_section(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["vehicle"]["width"] = -1.0
         with pytest.raises(ScenarioError, match="vehicle"):
             scenario_from_dict(data)
 
     def test_list_fields_must_be_numeric_lists(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["search"]["inflation_factors"] = "big"
         with pytest.raises(ScenarioError, match="inflation_factors"):
             scenario_from_dict(data)
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["search"]["steering_angles"] = [0.1, "hard-left"]
         with pytest.raises(ScenarioError, match="steering_angles"):
             scenario_from_dict(data)
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         data["obstacles"]["extra_points"] = [[1.0]]
         with pytest.raises(ScenarioError, match=r"extra_points\[0\]"):
             scenario_from_dict(data)
@@ -234,11 +314,11 @@ class TestFiles:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
 
-    def test_extra_points_round_trip(self, tmp_path):
+    def test_extra_points_round_trip(self, tmp_path, forward_scenario):
         scenario = build_parallel_parking(
-            workspace=forward_parking_scenario().workspace,
-            vehicle=forward_parking_scenario().vehicle,
-            limits=forward_parking_scenario().limits,
+            workspace=forward_scenario.workspace,
+            vehicle=forward_scenario.vehicle,
+            limits=forward_scenario.limits,
             spot=SpotSpec(3.0, 7.2, 0.0),
             start=Pose(-9, 8, 0),
             goal=Pose(-1.35, 1.5, 0),
@@ -251,7 +331,7 @@ class TestFiles:
         assert len(loaded.obstacles) == len(scenario.obstacles)
 
     def test_spotless_scenario(self):
-        data = scenario_to_dict(forward_parking_scenario())
+        data = _forward_data()
         del data["spot"]
         data["obstacles"]["extra_points"] = [[0.0, 3.0]]
         loaded = scenario_from_dict(data)
@@ -260,42 +340,17 @@ class TestFiles:
 
     @pytest.mark.parametrize("name", ["forward_parking.json", "backward_parking.json"])
     def test_bundled_scenarios_are_valid(self, name):
-        bundled = pathlib.Path(__file__).parent.parent / "scenarios" / name
+        bundled = BUNDLED / name
         scenario = load_scenario(bundled)
         assert validate(scenario) == []
         assert scenario_to_dict(scenario) == json.loads(bundled.read_text())
 
 
-BUNDLED = pathlib.Path(__file__).parent.parent / "scenarios"
-
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-@st.composite
-def search_configs(draw):
-    return SearchConfig(
-        omega_factor=draw(finite),
-        setvalue=draw(st.integers(-10, 10**9)),
-        max_iterations=draw(st.integers(-10, 10**9)),
-        penalties=PenaltyConfig(
-            reverse_mult=draw(finite),
-            switchback=draw(finite),
-            steer_change=draw(finite),
-            steer_hold=draw(finite),
-        ),
-        primitives=MotionPrimitiveSet(
-            arc_length=draw(st.floats(min_value=1e-6, max_value=1e6)),
-            steering_angles=tuple(draw(st.lists(finite, max_size=5))),
-        ),
-        inflation_factors=tuple(draw(st.lists(finite, max_size=4))),
-    )
-
-
 class TestSchema:
     @settings(max_examples=200, deadline=None)
     @given(config=search_configs())
-    def test_round_trip_keeps_every_search_field(self, config):
-        scenario = dataclasses.replace(forward_parking_scenario(), search=config)
+    def test_round_trip_keeps_every_search_field(self, forward_scenario, config):
+        scenario = dataclasses.replace(forward_scenario, search=config)
         text = json.dumps(scenario_to_dict(scenario))
         loaded = scenario_from_dict(json.loads(text))
         assert loaded.search == config
@@ -324,7 +379,7 @@ class TestSchema:
 
     @staticmethod
     def _malformed(section, key, bad):
-        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data = _forward_data()
         if key == "extra_points":
             data["obstacles"]["extra_points"] = [[5.0, 5.0], [6.0, bad]]
             return data, "obstacles.extra_points[1]"
@@ -360,7 +415,7 @@ class TestSchema:
         ],
     )
     def test_spot_outside_workspace_is_one_error(self, tmp_path, key, value):
-        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data = _forward_data()
         data["spot"][key] = value
         with pytest.raises(ScenarioError, match=r"^spot: spot extends outside the workspace"):
             scenario_from_dict(data)
@@ -383,13 +438,13 @@ class TestSchema:
         ],
     )
     def test_spot_flush_with_workspace_loads(self, spot):
-        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data = _forward_data()
         data["spot"].update(spot)
         scenario = scenario_from_dict(data)
         assert not [line for line in validate(scenario) if "outside workspace" in line]
 
     def test_integral_floats_accepted_for_integer_keys(self):
-        data = json.loads((BUNDLED / "forward_parking.json").read_text())
+        data = _forward_data()
         data["workspace"]["heading_bins"] = 72.0
         data["search"]["setvalue"] = 5.0
         scenario = scenario_from_dict(data)
@@ -406,7 +461,7 @@ def _node_paths(node, path=()):
 
 
 def _fuzz_base() -> dict:
-    data = json.loads((BUNDLED / "forward_parking.json").read_text())
+    data = _forward_data()
     data["obstacles"]["extra_points"] = [[5.0, 5.0], [-3.0, 9.0]]
     return data
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,6 @@ from mhhastar.search import (
     SearchNode,
     Termination,
     _Search,
-    endpoint_problems,
     hybrid_a_star,
     mhha_star,
 )
@@ -35,6 +35,34 @@ def make_ring(cx, cy, radii=(4.0, 4.15, 4.3), n=720):
 def wall(x0, y0, x1, y1, spacing=0.05):
     n = max(1, math.ceil(math.hypot(x1 - x0, y1 - y0) / spacing))
     return [(x0 + (x1 - x0) * k / n, y0 + (y1 - y0) * k / n) for k in range(n + 1)]
+
+
+# One row per rule of `input_problems`, in its order: the changes to the open
+# scenario (start, goal, points) or to a field of its search config, and the
+# one message they cause.
+INPUT_RULES = [
+    ({"start": Pose(20.0, 0, 0)}, "start outside workspace"),
+    ({"goal": Pose(20.0, 0, 0)}, "goal outside workspace"),
+    ({"points": [(1.0, 0.0)]}, "start in collision"),
+    ({"points": [(9.0, 0.0)]}, "goal in collision"),
+    ({"points": [(15.5, 3.0)]}, "obstacle point (15.500, 3.000) outside workspace"),
+    ({"omega_factor": 0.5}, "omega_factor < 1"),
+    ({"setvalue": 0}, "setvalue < 1"),
+    ({"max_iterations": 0}, "max_iterations < 1"),
+    ({"inflation_factors": (2.0, 0.5)}, "inflation factor #2 < 1"),
+    ({"reverse_mult": 0.5}, "penalties.reverse_mult < 1 (breaks heuristic admissibility)"),
+    ({"switchback": -1.0}, "penalties.switchback < 0"),
+    ({"steer_change": -1.0}, "penalties.steer_change < 0"),
+    ({"steer_hold": -1.0}, "penalties.steer_hold < 0"),
+    ({"arc_length": 0.4}, "arc_length 0.4 does not exceed the cell diagonal 0.4243"),
+    ({"steering_angles": (-0.6, 0.0, 0.9)}, "steering angle 0.9 exceeds phi_max 0.6"),
+]
+
+
+def _take_fields(obj, changes: dict):
+    """obj with the fields that `changes` names replaced; their keys are
+    removed from `changes`."""
+    return dataclasses.replace(obj, **{k: changes.pop(k) for k in list(changes) if hasattr(obj, k)})
 
 
 class TestOpenList:
@@ -120,37 +148,24 @@ class TestImmediateCases:
         assert r.termination is Termination.NO_SOLUTION
         assert r.nodes_expanded >= 1
 
-    @pytest.mark.parametrize(
-        "start, goal, points, message",
-        [
-            (Pose(20.0, 0, 0), Pose(8, 0, 0), [], "start outside workspace"),
-            (Pose(0, 0, 0), Pose(20.0, 0, 0), [], "goal outside workspace"),
-            (Pose(0, 0, 0), Pose(8, 0, 0), [(1.0, 0.0)], "start in collision"),
-            (Pose(0, 0, 0), Pose(8, 0, 0), [(9.0, 0.0)], "goal in collision"),
-        ],
-    )
-    def test_endpoint_defect_reported_alike(self, start, goal, points, message):
-        # `validate` and the planner share one start/goal check
-        sc = make_open_scenario(start, goal, points)
-        assert endpoint_problems(sc.start, sc.goal, sc) == [message]
+    @pytest.mark.parametrize("changes, message", INPUT_RULES, ids=[m for _, m in INPUT_RULES])
+    def test_input_rule_reported_alike(self, changes, message):
+        # `validate` and both planners share one rule list
+        changes = dict(changes)
+        sc = make_open_scenario(
+            changes.pop("start", Pose(0, 0, 0)),
+            changes.pop("goal", Pose(8, 0, 0)),
+            changes.pop("points", ()),
+        )
+        cfg = sc.search
+        penalties = _take_fields(cfg.penalties, changes)
+        primitives = _take_fields(cfg.primitives, changes)
+        cfg = dataclasses.replace(cfg, penalties=penalties, primitives=primitives, **changes)
+        sc = dataclasses.replace(sc, search=cfg)
         assert validate(sc) == [message]
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            mhha_star(sc.start, sc.goal, sc)
-
-    def test_bad_config_rejected(self):
-        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0))
-        config = dataclasses.replace(SearchConfig(), omega_factor=0.5)
-        with pytest.raises(ValueError, match="omega"):
-            mhha_star(sc.start, sc.goal, sc, config)
-
-    @pytest.mark.parametrize("name", ["switchback", "steer_change", "steer_hold"])
-    def test_negative_penalty_rejected(self, name):
-        # the planner applies the same rules as `validate`
-        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0))
-        penalties = dataclasses.replace(SearchConfig().penalties, **{name: -1.0})
-        config = dataclasses.replace(SearchConfig(), penalties=penalties)
-        with pytest.raises(ValueError, match=f"penalties.{name} < 0"):
-            mhha_star(sc.start, sc.goal, sc, config)
+        for plan in (mhha_star, hybrid_a_star):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                plan(sc.start, sc.goal, sc)
 
     def test_nan_config_rejected(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0))
