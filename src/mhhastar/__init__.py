@@ -11,7 +11,7 @@ from .geometry import (
 )
 from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
 from .heuristics import HeuristicSet, h_holonomic
-from .reeds_shepp import RSPath, RSSegment, Turn, rs_collision_free, rs_sample, rs_shortest
+from .reeds_shepp import RSPath, rs_collision_free, rs_shortest
 from .render import render_svg
 from .scenario import (
     Scenario,
@@ -31,11 +31,13 @@ from .search import (
     mhha_star,
 )
 from .vehicle import (
+    Arc,
     Gear,
     MotionPrimitiveSet,
     MotionStep,
     PenaltyConfig,
     VehicleLimits,
+    arc_poses,
     step_cost,
     successors,
 )

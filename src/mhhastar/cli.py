@@ -75,29 +75,29 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         scenario = _load_checked(args.scenario)
         planner = _PLANNERS[args.planner]
-        result = planner(scenario.start, scenario.goal, scenario, trace=args.trace or bool(args.svg))
-    except (ScenarioError, SearchLimitError, ValueError) as e:
+        result = planner(scenario.start, scenario.goal, scenario, trace=bool(args.svg))
+        if args.json:
+            report = {
+                "scenario": args.scenario,
+                "planner": args.planner,
+                "config": scenario_to_dict(scenario)["search"],
+                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "metrics": _metrics_dict(result),
+            }
+            Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        if result.found and args.path_out:
+            Path(args.path_out).write_text(path_lines(result), encoding="utf-8")
+        if result.found and args.svg:
+            Path(args.svg).write_text(render_svg(scenario, result), encoding="utf-8")
+    except (ScenarioError, SearchLimitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        report = {
-            "scenario": args.scenario,
-            "planner": args.planner,
-            "config": scenario_to_dict(scenario)["search"],
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "metrics": _metrics_dict(result),
-        }
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     if not result.found:
         print("no solution")
         return 2
-    if args.path_out:
-        Path(args.path_out).write_text(path_lines(result), encoding="utf-8")
-    else:
+    if not args.path_out:
         sys.stdout.write(path_lines(result))
     _print_metrics(result)
-    if args.svg:
-        Path(args.svg).write_text(render_svg(scenario, result), encoding="utf-8")
     return 0
 
 
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--scenario", required=True)
     plan.add_argument("--planner", required=True, choices=sorted(_PLANNERS))
     plan.add_argument("--svg", help="write an SVG figure to this path")
-    plan.add_argument("--trace", action="store_true", help="record the expansion tree")
     plan.add_argument("--path-out", help="write the path text here instead of stdout")
     plan.add_argument("--json", help="write a JSON metrics report to this path")
     plan.set_defaults(func=cmd_plan)
@@ -189,7 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # --help exits 0, a usage error 2; 2 means "no solution" here
+        return 1 if e.code else 0
     return args.func(args)
 
 

@@ -97,11 +97,11 @@ class ObstacleSet:
     """Immutable planar point-cloud obstacles.
 
     A private memo maps (floor(x / MEMO_CELL), floor(y / MEMO_CELL), radius)
-    to the points within radius + MEMO_CELL of that square's center, as Python
-    floats. A point within `radius` of any (x, y) in the square lies within
-    radius + MEMO_CELL / sqrt(2) of its center, 0.07 m inside the entry's disk,
-    so the entry holds every point `query(x, y, radius)` returns, plus more.
-    The memo never changes which points a collision check can find.
+    to the points within radius + MEMO_CELL of that square's center, as a list
+    of their x and one of their y. A point within `radius` of any (x, y) in
+    the square lies within radius + MEMO_CELL / sqrt(2) of its center, 0.07 m
+    inside the entry's disk, so the entry holds every point `query(x, y,
+    radius)` returns, plus more. The memo never changes what a check finds.
     """
 
     def __init__(self, points):
@@ -124,13 +124,13 @@ class ObstacleSet:
         return self._points[dx * dx + dy * dy <= radius * radius]
 
     def _candidates(self, x: float, y: float, radius: float) -> list[list[float]]:
-        """A superset of query(x, y, radius) as [x, y] float pairs, memoised
-        per MEMO_CELL square of (x, y)."""
+        """A superset of query(x, y, radius) as [xs, ys], two float lists,
+        memoised per MEMO_CELL square of (x, y)."""
         i, j = math.floor(x / MEMO_CELL), math.floor(y / MEMO_CELL)
         entry = self._memo.get((i, j, radius))
         if entry is None:
             cx, cy = (i + 0.5) * MEMO_CELL, (j + 0.5) * MEMO_CELL
-            entry = self._memo[i, j, radius] = self.query(cx, cy, radius + MEMO_CELL).tolist()
+            entry = self._memo[i, j, radius] = self.query(cx, cy, radius + MEMO_CELL).T.tolist()
         return entry
 
 
@@ -152,9 +152,9 @@ def vehicle_collides(
     half_w = geometry.width / 2.0
     rear = -geometry.rear_overhang
     front = geometry.front_extent
-    for px, py in obstacles._candidates(
+    for px, py in zip(*obstacles._candidates(
         x + c * mid, y + s * mid, math.hypot(geometry.length / 2.0, half_w) + 1e-9
-    ):
+    )):
         dx = px - x
         dy = py - y
         bx = c * dx + s * dy

@@ -6,8 +6,8 @@ evaluated on four variants of the goal (as is, timeflipped, reflected, both),
 sin/cos of its heading and the two polar terms every family reads,
 (x - sin phi, y - 1 + cos phi) and (x + sin phi, y - 1 - cos phi), are computed
 once. A family returns only its signed segment parameters; a static
-(turn, gear) pattern per family and variant names the segments, and a negative
-parameter means the same circle driven in the opposite gear.
+(curvature, gear) pattern per family and variant names the segments, and a
+negative parameter means the same circle driven in the opposite gear.
 
 Selection builds no segment objects for losing words. A candidate's length is
 the left-to-right sum of |param| over parameters above 1e-12; candidates are
@@ -20,44 +20,23 @@ verification and simply drops out.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import IntEnum
 from operator import itemgetter
 
 from .geometry import Pose, normalize_angle
-from .vehicle import Gear, advance_arc
-
-COLLISION_SPACING = 0.1  # [m] arc length between the poses rs_collision_free checks
-
-
-class Turn(IntEnum):
-    """Segment curvature sign in the normalized frame."""
-
-    LEFT = 1
-    STRAIGHT = 0
-    RIGHT = -1
-
-
-@dataclass(frozen=True)
-class RSSegment:
-    """One arc or straight; length is nonnegative, in turning-radius units."""
-
-    kind: Turn
-    gear: Gear
-    length: float
+from .vehicle import SAMPLE_SPACING, Arc, Gear, arc_poses
 
 
 @dataclass(frozen=True)
 class RSPath:
-    """A curve as an ordered segment word; total_length is in meters."""
+    """A curve as an ordered word of arcs; lengths are in meters."""
 
-    segments: tuple[RSSegment, ...]
+    segments: tuple[Arc, ...]
     total_length: float
 
 
-# Verified segment: (length, turn, gear) in the normalized frame.
-_Element = tuple[float, Turn, Gear]
+# Verified segment: (length, curvature, gear) in the normalized frame.
+_Element = tuple[float, float, Gear]
 
 
 def _asin(value: float) -> float:
@@ -67,9 +46,7 @@ def _asin(value: float) -> float:
 
 _F = Gear.FORWARD
 _B = Gear.REVERSE
-_L = Turn.LEFT
-_S = Turn.STRAIGHT
-_R = Turn.RIGHT
+_L, _S, _R = 1, 0, -1  # curvature signs, as ints so that a reflected 0 stays +0.0
 
 # Each family maps one polar term (rho, theta) and the variant heading phi to
 # its signed segment parameters, or None where the formula does not apply.
@@ -184,10 +161,10 @@ def _lrslr(rho, theta, phi):
 
 
 def _variant_patterns(word):
-    """Per variant (as is, timeflip, reflect, both): (turn, gear for a
+    """Per variant (as is, timeflip, reflect, both): (curvature, gear for a
     nonnegative param, gear for a negative param) of every segment."""
     return tuple(
-        tuple((Turn(turn_sign * t), Gear(gear_sign * g), Gear(-gear_sign * g)) for t, g in word)
+        tuple((float(turn_sign * t), Gear(gear_sign * g), Gear(-gear_sign * g)) for t, g in word)
         for turn_sign, gear_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     )
 
@@ -215,11 +192,10 @@ _FAMILIES = tuple(
 
 def _advance_unit(x, y, theta, element: _Element):
     """Apply one element in the normalized (radius 1) frame."""
-    p, turn, gear = element
+    p, kappa, gear = element
     sigma = float(gear)
-    if turn is _S:
+    if not kappa:
         return x + sigma * p * math.cos(theta), y + sigma * p * math.sin(theta), theta
-    kappa = float(turn)
     theta_end = theta + sigma * kappa * p
     x_end = x + (math.sin(theta_end) - math.sin(theta)) / kappa
     y_end = y + (math.cos(theta) - math.cos(theta_end)) / kappa
@@ -293,15 +269,17 @@ def _raw_candidates(x: float, y: float, phi: float) -> list:
 def _verified(params, pattern, x: float, y: float, phi: float) -> list[_Element] | None:
     """The word's elements if it ends at (x, y, phi), else None."""
     elements = [
-        (abs(p), turn, neg if p < 0.0 else gear)
-        for p, (turn, gear, neg) in zip(params, pattern)
+        (abs(p), kappa, neg if p < 0.0 else gear)
+        for p, (kappa, gear, neg) in zip(params, pattern)
         if abs(p) > 1e-12
     ]
     return elements if _endpoint_matches(elements, x, y, phi) else None
 
 
 def _to_path(elements: list[_Element], length: float, turning_radius: float) -> RSPath:
-    segments = tuple(RSSegment(turn, gear, p) for p, turn, gear in elements)
+    segments = tuple(
+        Arc(gear, kappa / turning_radius, p * turning_radius) for p, kappa, gear in elements
+    )
     return RSPath(segments, length * turning_radius)
 
 
@@ -324,51 +302,12 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
     return RSPath((), 0.0)
 
 
-def _rs_poses(
-    path: RSPath, start: Pose, turning_radius: float, spacing: float
-) -> Iterator[tuple[Pose, Gear]]:
-    """Yield the poses of `rs_sample` one at a time, so that a caller can stop
-    at the first one it rejects."""
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    pose = start
-    if not path.segments:
-        yield pose, Gear.FORWARD
-        return
-    yield pose, path.segments[0].gear
-    for seg in path.segments:
-        seg_len = seg.length * turning_radius
-        kappa = float(seg.kind) / turning_radius
-        last = pose
-        n_full = int(seg_len / spacing + 1e-9)
-        for k in range(1, n_full + 1):
-            last = advance_arc(pose, seg.gear, kappa, k * spacing)
-            yield last, seg.gear
-        if n_full * spacing < seg_len - 1e-9:
-            last = advance_arc(pose, seg.gear, kappa, seg_len)
-            yield last, seg.gear
-        pose = last
-
-
-def rs_sample(
-    path: RSPath,
-    start: Pose,
-    turning_radius: float,
-    spacing: float,
-) -> list[tuple[Pose, Gear]]:
-    """Poses along the path at arc-length steps of exactly `spacing` within
-    each segment (last step shorter), including both endpoints."""
-    return list(_rs_poses(path, start, turning_radius, spacing))
-
-
-def rs_collision_free(
-    path: RSPath, start: Pose, turning_radius: float, geometry, obstacles
-) -> bool:
+def rs_collision_free(path: RSPath, start: Pose, geometry, obstacles) -> bool:
     """True iff the vehicle clears the obstacles at every path sample,
-    COLLISION_SPACING apart; stops at the first colliding one."""
+    SAMPLE_SPACING apart; stops at the first colliding one."""
     from .geometry import vehicle_collides
 
-    for pose, _ in _rs_poses(path, start, turning_radius, COLLISION_SPACING):
+    for pose, _ in arc_poses(start, path.segments, SAMPLE_SPACING):
         if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

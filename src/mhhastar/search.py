@@ -20,17 +20,18 @@ from heapq import heappop, heappush
 from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
 from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
 from .heuristics import HeuristicSet
-from .reeds_shepp import RSPath, rs_collision_free, rs_sample, rs_shortest
+from .reeds_shepp import RSPath, rs_collision_free, rs_shortest
 from .vehicle import (
+    SAMPLE_SPACING,
+    Arc,
     Gear,
     MotionPrimitiveSet,
     PenaltyConfig,
     advance_arc,
+    arc_poses,
     step_cost,
     successors,
 )
-
-PATH_RESAMPLE = 0.1  # [m] spacing of reconstructed path poses
 
 
 class SearchLimitError(RuntimeError):
@@ -53,7 +54,6 @@ class SearchNode:
     cell: CellKey
     g: float
     bp: "SearchNode | None"
-    step_length: float = 0.0
     h_anchor: float = 0.0
     closed: bool = False
     version: int = 0  # bumped on every reinsert/removal; stale heap entries skip
@@ -140,6 +140,8 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
     for name, pose in (("start", start), ("goal", goal)):
         if not ws.contains(pose.x, pose.y):
             out.append(f"{name} outside workspace")
+        elif not math.isfinite(pose.theta):
+            out.append(f"{name} heading not finite")
         elif vehicle_collides(pose, scenario.vehicle, scenario.obstacles):
             out.append(f"{name} in collision")
     x, y = scenario.obstacles.points.T
@@ -270,7 +272,6 @@ class _Search:
                     cell=cell,
                     g=g_new,
                     bp=s,
-                    step_length=step.length,
                     h_anchor=self.heuristics.anchor(end),
                 )
                 self.nodes[cell] = node
@@ -280,14 +281,13 @@ class _Search:
                 existing.steering = step.steering
                 existing.g = g_new
                 existing.bp = s
-                existing.step_length = step.length
                 existing.h_anchor = self.heuristics.anchor(end)
                 self._insert(existing)
 
     def analytic_expansion(self, s: SearchNode) -> RSPath | None:
         """Exact curve from s to the goal, or None when it collides."""
         path = rs_shortest(s.pose, self.goal, self.turning_radius)
-        if rs_collision_free(path, s.pose, self.turning_radius, self.vehicle, self.obstacles):
+        if rs_collision_free(path, s.pose, self.vehicle, self.obstacles):
             return path
         return None
 
@@ -307,27 +307,20 @@ class _Search:
     def reconstruct_path(
         self, node: SearchNode, tail: RSPath | None
     ) -> tuple[list[tuple[Pose, Gear]], float, int | None]:
-        """Replay the primitive chain at <= 0.1 m spacing, then append the
-        analytic tail samples when present."""
+        """Sample the primitive chain, then the analytic tail when present,
+        SAMPLE_SPACING apart."""
         chain = self._backtrack(node)
-        first_gear = chain[1].gear if len(chain) > 1 else chain[0].gear
-        path: list[tuple[Pose, Gear]] = [(chain[0].pose, first_gear)]
+        arc_length = self.config.primitives.arc_length
+        hops = []
         length = 0.0
-        pose = chain[0].pose
         for hop in chain[1:]:
-            kappa = math.tan(hop.steering) / self.wheelbase
-            n_sub = max(1, math.ceil(hop.step_length / PATH_RESAMPLE))
-            sub = hop.step_length / n_sub
-            for j in range(1, n_sub):
-                path.append((advance_arc(pose, hop.gear, kappa, j * sub), hop.gear))
-            pose = advance_arc(pose, hop.gear, kappa, hop.step_length)
-            path.append((pose, hop.gear))
-            length += hop.step_length
+            hops.append(Arc(hop.gear, math.tan(hop.steering) / self.wheelbase, arc_length))
+            length += arc_length
+        path = list(arc_poses(chain[0].pose, hops, SAMPLE_SPACING))
         tail_start = None
         if tail is not None:
             tail_start = len(path)
-            samples = rs_sample(tail, pose, self.turning_radius, PATH_RESAMPLE)
-            path.extend(samples[1:])
+            path += list(arc_poses(path[-1][0], tail.segments, SAMPLE_SPACING))[1:]
             length += tail.total_length
         return path, length, tail_start
 

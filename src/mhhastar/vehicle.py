@@ -1,13 +1,18 @@
-"""Single-track kinematics, physical limits, and the discrete motion primitives
-that generate search successors."""
+"""Single-track kinematics, physical limits, the discrete motion primitives
+that generate search successors, and the sampler that turns a chain of arcs
+into path poses."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .geometry import Pose, normalize_angle
+
+SAMPLE_SPACING = 0.1  # [m] arc length between the poses of a returned or checked path
 
 
 class Gear(IntEnum):
@@ -93,6 +98,29 @@ def advance_arc(start: Pose, gear: Gear, curvature: float, ds: float) -> Pose:
         start.y + sigma * chord * math.sin(mid),
         normalize_angle(start.theta + alpha),
     )
+
+
+class Arc(NamedTuple):
+    """One drive at constant curvature [1/m] (0 for straight) over `length` m."""
+
+    gear: Gear
+    curvature: float
+    length: float
+
+
+def arc_poses(start: Pose, arcs: Sequence[Arc], spacing: float) -> Iterator[tuple[Pose, Gear]]:
+    """The start pose, then each arc's poses `spacing` m apart (last step
+    shorter) ending exactly at its length, where the next arc starts; every
+    pose is tagged with its arc's gear, the start with the first arc's."""
+    if spacing <= 0.0:
+        raise ValueError("spacing must be positive")
+    yield start, arcs[0].gear if arcs else Gear.FORWARD
+    pose = start
+    for gear, curvature, length in arcs:
+        for k in range(1, math.ceil(length / spacing - 1e-9)):
+            yield advance_arc(pose, gear, curvature, k * spacing), gear
+        pose = advance_arc(pose, gear, curvature, length)
+        yield pose, gear
 
 
 def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[MotionStep]:

@@ -22,9 +22,10 @@ from mhhastar.geometry import (
 )
 from mhhastar.grid import GridSpec, dijkstra_field
 from mhhastar.heuristics import HeuristicSet
-from mhhastar.reeds_shepp import rs_sample, rs_shortest
+from mhhastar.reeds_shepp import rs_shortest
 from mhhastar.scenario import save_scenario
 from mhhastar.search import Termination, mhha_star
+from mhhastar.vehicle import arc_poses
 
 from conftest import COARSE_RADIUS, make_coarse_scenario
 from oracles import (
@@ -128,7 +129,7 @@ def test_criterion_5_reeds_shepp_correctness():
         assert rs_shortest(b, a, rho).total_length == pytest.approx(
             best.total_length, abs=1e-9
         )
-        end, _ = rs_sample(best, a, rho, 0.5)[-1]
+        end, _ = list(arc_poses(a, best.segments, 0.5))[-1]
         err = math.hypot(end.x - b.x, end.y - b.y)
         err += abs(math.remainder(end.theta - b.theta, 2 * math.pi))
         assert err < 1e-6

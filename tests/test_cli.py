@@ -92,6 +92,22 @@ class TestPlan:
         assert code == 1
         assert "omega_factor" in capsys.readouterr().err
 
+    def test_usage_error_exit_1(self, forward_file, capsys):
+        # 2 is reserved for "no solution"
+        assert main(["plan", "--scenario", str(forward_file)]) == 1
+        assert "--planner" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["plan", "--help"]) == 0
+        assert "--path-out" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--json", "--path-out", "--svg"])
+    def test_unwritable_output_exit_1(self, option, forward_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        args = ["--scenario", str(forward_file), "--planner", "mhha", option, str(target)]
+        assert main(["plan", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestValidateCommand:
     def test_valid_scenario(self, forward_file, capsys):

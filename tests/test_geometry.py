@@ -304,7 +304,7 @@ class TestCollisionMemo:
                 xs = (x0, x0 + rng.uniform(0, MEMO_CELL), math.nextafter(x0 + MEMO_CELL, -math.inf))
                 ys = (y0, y0 + rng.uniform(0, MEMO_CELL), math.nextafter(y0 + MEMO_CELL, -math.inf))
                 entry = obstacles._candidates(x0, y0, radius)
-                held = set(map(tuple, entry))
+                held = set(zip(*entry))
                 for x in xs:
                     for y in ys:
                         assert obstacles._candidates(x, y, radius) is entry

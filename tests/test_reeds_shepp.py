@@ -4,15 +4,8 @@ import random
 import pytest
 
 from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, normalize_angle, vehicle_collides
-from mhhastar.reeds_shepp import (
-    RSPath,
-    RSSegment,
-    Turn,
-    rs_collision_free,
-    rs_sample,
-    rs_shortest,
-)
-from mhhastar.vehicle import Gear
+from mhhastar.reeds_shepp import RSPath, rs_collision_free, rs_shortest
+from mhhastar.vehicle import Arc, Gear, arc_poses
 
 from oracles import rs_candidates
 
@@ -26,7 +19,7 @@ def lattice_pose(rng):
 
 
 def endpoint_error(path, start, goal, radius):
-    samples = rs_sample(path, start, radius, 0.05)
+    samples = list(arc_poses(start, path.segments, 0.05))
     end = samples[-1][0]
     return math.hypot(end.x - goal.x, end.y - goal.y) + abs(normalize_angle(end.theta - goal.theta))
 
@@ -37,14 +30,14 @@ class TestShortest:
         assert path.total_length == pytest.approx(5.0)
         assert len(path.segments) == 1
         seg = path.segments[0]
-        assert seg.kind is Turn.STRAIGHT and seg.gear is Gear.FORWARD
+        assert seg.curvature == 0.0 and seg.gear is Gear.FORWARD
         assert seg.length == pytest.approx(5.0)
 
     def test_straight_reverse(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(-5, 0, 0), 1.0)
         assert path.total_length == pytest.approx(5.0)
         seg = path.segments[0]
-        assert seg.kind is Turn.STRAIGHT and seg.gear is Gear.REVERSE
+        assert seg.curvature == 0.0 and seg.gear is Gear.REVERSE
 
     def test_coincident(self):
         path = rs_shortest(Pose(1, 2, 0.5), Pose(1, 2, 0.5), 3.0)
@@ -139,7 +132,7 @@ class TestShortest:
 class TestSample:
     def test_straight_spacing(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(1, 0, 0), 1.0)
-        samples = rs_sample(path, Pose(0, 0, 0), 1.0, 0.5)
+        samples = list(arc_poses(Pose(0, 0, 0), path.segments, 0.5))
         xs = [p.x for p, _ in samples]
         assert xs == pytest.approx([0.0, 0.5, 1.0])
 
@@ -148,16 +141,14 @@ class TestSample:
         for _ in range(200):
             a, b = random_pose(rng), random_pose(rng)
             path = rs_shortest(a, b, 2.0)
-            end, _ = rs_sample(path, a, 2.0, 0.1)[-1]
+            end, _ = list(arc_poses(a, path.segments, 0.1))[-1]
             assert math.hypot(end.x - b.x, end.y - b.y) < 1e-6
             assert abs(normalize_angle(end.theta - b.theta)) < 1e-6
 
     def test_quarter_arc_on_circle(self):
         rho = 2.0
-        path = RSPath(
-            (RSSegment(Turn.LEFT, Gear.FORWARD, math.pi / 2),), rho * math.pi / 2
-        )
-        samples = rs_sample(path, Pose(0, 0, 0), rho, rho * math.pi / 8)
+        quarter = Arc(Gear.FORWARD, 1.0 / rho, rho * math.pi / 2)
+        samples = list(arc_poses(Pose(0, 0, 0), [quarter], rho * math.pi / 8))
         assert len(samples) == 5
         for k, (pose, gear) in enumerate(samples):
             angle = k * math.pi / 8
@@ -167,13 +158,13 @@ class TestSample:
 
     def test_gear_tags_follow_segments(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(-5, 0, 0), 1.0)
-        samples = rs_sample(path, Pose(0, 0, 0), 1.0, 0.25)
+        samples = list(arc_poses(Pose(0, 0, 0), path.segments, 0.25))
         assert all(g is Gear.REVERSE for _, g in samples)
 
     def test_rejects_bad_spacing(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(1, 0, 0), 1.0)
         with pytest.raises(ValueError):
-            rs_sample(path, Pose(0, 0, 0), 1.0, 0.0)
+            list(arc_poses(Pose(0, 0, 0), path.segments, 0.0))
 
 
 class TestCollisionFree:
@@ -181,13 +172,11 @@ class TestCollisionFree:
 
     def test_empty_obstacles(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(8, 0, 0), 2.0)
-        assert rs_collision_free(path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([]))
+        assert rs_collision_free(path, Pose(0, 0, 0), self.CAR, ObstacleSet([]))
 
     def test_blocked_corridor(self):
         path = rs_shortest(Pose(0, 0, 0), Pose(8, 0, 0), 2.0)
-        assert not rs_collision_free(
-            path, Pose(0, 0, 0), 2.0, self.CAR, ObstacleSet([(4.0, 0.0)])
-        )
+        assert not rs_collision_free(path, Pose(0, 0, 0), self.CAR, ObstacleSet([(4.0, 0.0)]))
 
     def test_refinement_stability(self):
         # verdicts at the 0.1 m collision spacing agree with a 10x finer sampling
@@ -198,10 +187,10 @@ class TestCollisionFree:
             pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(25)]
             obstacles = ObstacleSet(pts)
             path = rs_shortest(a, b, 3.0)
-            coarse = rs_collision_free(path, a, 3.0, self.CAR, obstacles)
+            coarse = rs_collision_free(path, a, self.CAR, obstacles)
             fine = not any(
                 vehicle_collides(pose, self.CAR, obstacles)
-                for pose, _ in rs_sample(path, a, 3.0, 0.01)
+                for pose, _ in arc_poses(a, path.segments, 0.01)
             )
             if coarse == fine:
                 agreements += 1

@@ -43,6 +43,8 @@ def wall(x0, y0, x1, y1, spacing=0.05):
 INPUT_RULES = [
     ({"start": Pose(20.0, 0, 0)}, "start outside workspace"),
     ({"goal": Pose(20.0, 0, 0)}, "goal outside workspace"),
+    ({"start": Pose(0, 0, math.nan)}, "start heading not finite"),
+    ({"goal": Pose(8, 0, math.nan)}, "goal heading not finite"),
     ({"points": [(1.0, 0.0)]}, "start in collision"),
     ({"points": [(9.0, 0.0)]}, "goal in collision"),
     ({"points": [(15.5, 3.0)]}, "obstacle point (15.500, 3.000) outside workspace"),
@@ -459,13 +461,38 @@ class TestResultInvariants:
         assert r.path_length == pytest.approx(4 * sc.search.primitives.arc_length, abs=1e-9)
 
 
+class TestReconstructPath:
+    def test_replayed_chain_lands_on_node_poses(self):
+        # 0.6 m hops are not a multiple of the 0.1 m spacing; the replay must
+        # still land bit for bit on every pose the search stored.
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        primitives = dataclasses.replace(sc.search.primitives, arc_length=0.6)
+        sc = dataclasses.replace(sc, search=dataclasses.replace(sc.search, primitives=primitives))
+        s, node = make_searcher(sc)
+        F, R = Gear.FORWARD, Gear.REVERSE
+        moves = [(F, 0.6), (F, -0.6), (R, 0.6), (R, 0.0)]
+        for gear, steering in moves:
+            s.expand_node(node)
+            node = next(
+                n for n in s.nodes.values()
+                if n.bp is node and n.gear is gear and n.steering == steering
+            )
+        chain = s._backtrack(node)
+        path, length, tail_start = s.reconstruct_path(node, None)
+        assert len(path) == 6 * len(moves) + 1
+        assert [pose for pose, _ in path[::6]] == [n.pose for n in chain]
+        assert [gear for _, gear in path[1:]] == [g for g, _ in moves for _ in range(6)]
+        assert length == 0.6 + 0.6 + 0.6 + 0.6
+        assert tail_start is None
+
+
 class TestBacktrackGuard:
     def test_cyclic_parent_chain_is_an_error(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
         other = SearchNode(
             pose=Pose(0.5, 0, 0), gear=Gear.FORWARD, steering=0.0,
-            cell=CellKey(1, 0, 0, Gear.FORWARD), g=1.0, bp=start, step_length=0.5,
+            cell=CellKey(1, 0, 0, Gear.FORWARD), g=1.0, bp=start,
         )
         start.bp = other  # corrupt the tree
         with pytest.raises(RuntimeError, match="cyclic"):

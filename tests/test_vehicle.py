@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from mhhastar.geometry import Pose, normalize_angle
 from mhhastar.vehicle import (
+    Arc,
     Gear,
     MotionPrimitiveSet,
     MotionStep,
     PenaltyConfig,
     VehicleLimits,
     advance_arc,
+    arc_poses,
     step_cost,
     successors,
 )
@@ -101,6 +103,36 @@ class TestArcStep:
         assert back.x == pytest.approx(start.x, abs=1e-9)
         assert back.y == pytest.approx(start.y, abs=1e-9)
         assert abs(normalize_angle(back.theta - start.theta)) < 1e-9
+
+
+class TestArcPoses:
+    START = Pose(1.0, -2.0, 0.3)
+
+    @pytest.mark.parametrize("length, count", [(0.6, 7), (0.50000000005, 6)])
+    @pytest.mark.parametrize("gear", list(Gear))
+    def test_arc_ends_exactly_at_its_length(self, length, count, gear):
+        # 0.6 / 0.1 rounds below 6 and 6 * 0.1 overshoots 0.6; 0.50000000005
+        # lies within the 1e-9 slack of 0.5. Neither may shift the end.
+        arc = Arc(gear, math.tan(PHI_MAX) / WHEELBASE, length)
+        poses = list(arc_poses(self.START, [arc], 0.1))
+        assert len(poses) == count
+        assert poses[-1] == (advance_arc(self.START, gear, arc.curvature, length), gear)
+        for k, (pose, _) in enumerate(poses[1:-1], start=1):
+            assert pose == advance_arc(self.START, gear, arc.curvature, k * 0.1)
+
+    def test_next_arc_starts_at_exact_end(self):
+        first = Arc(Gear.FORWARD, 0.2, 0.6)
+        second = Arc(Gear.REVERSE, -0.3, 0.25)
+        poses = list(arc_poses(self.START, [first, second], 0.1))
+        joint = advance_arc(self.START, first.gear, first.curvature, first.length)
+        assert poses[6] == (joint, Gear.FORWARD)
+        assert poses[7:] == [
+            (advance_arc(joint, second.gear, second.curvature, ds), Gear.REVERSE)
+            for ds in (0.1, 0.2, 0.25)
+        ]
+
+    def test_no_arcs_yields_the_start(self):
+        assert list(arc_poses(self.START, [], 0.1)) == [(self.START, Gear.FORWARD)]
 
 
 class TestSuccessors:
