@@ -108,6 +108,8 @@ class ObstacleSet:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         pts.setflags(write=False)
         self._points = pts
+        self._by_x = np.argsort(pts[:, 0])
+        self._sorted_x = pts[self._by_x, 0]
         self._memo: dict[tuple[int, int, float], list[list[float]]] = {}
 
     def __len__(self) -> int:
@@ -118,10 +120,17 @@ class ObstacleSet:
         return self._points
 
     def query(self, x: float, y: float, radius: float) -> np.ndarray:
-        """All points with distance <= radius from (x, y), as an (m, 2) array."""
-        dx = self._points[:, 0] - x
-        dy = self._points[:, 1] - y
-        return self._points[dx * dx + dy * dy <= radius * radius]
+        """All points with distance <= radius from (x, y), as an (m, 2) array
+        in input order. Only the points whose x lies in the strip [x - radius,
+        x + radius] are tested; the strip is widened by a rounding margin so
+        that it holds every point the distance test keeps."""
+        margin = radius + 1e-9 * (1.0 + abs(x) + radius)
+        lo = np.searchsorted(self._sorted_x, x - margin, side="left")
+        hi = np.searchsorted(self._sorted_x, x + margin, side="right")
+        rows = self._points[np.sort(self._by_x[lo:hi])]
+        dx = rows[:, 0] - x
+        dy = rows[:, 1] - y
+        return rows[dx * dx + dy * dy <= radius * radius]
 
     def _candidates(self, x: float, y: float, radius: float) -> list[list[float]]:
         """A superset of query(x, y, radius) as [xs, ys], two float lists,

@@ -80,56 +80,98 @@ def discretize(pose: Pose, gear: Gear, spec: GridSpec) -> CellKey:
 
 
 def build_occupancy(spec: GridSpec, obstacles: ObstacleSet) -> np.ndarray:
-    """Boolean (nx, ny) mask: a cell is blocked iff an obstacle point lies in it."""
+    """Boolean (nx, ny) mask: a cell is blocked iff an obstacle point lies in
+    it, its index taken as `GridSpec.cell_of` takes it; points outside the
+    workspace (NaN included) block nothing."""
     blocked = np.zeros((spec.nx, spec.ny), dtype=bool)
-    for px, py in obstacles.points:
-        if spec.contains(px, py):
-            blocked[spec.cell_of(px, py)] = True
+    x, y = obstacles.points.T
+    inside = (spec.x_min <= x) & (x <= spec.x_max) & (spec.y_min <= y) & (y <= spec.y_max)
+    ix = np.minimum(np.floor((x[inside] - spec.x_min) / spec.cell_size), spec.nx - 1)
+    iy = np.minimum(np.floor((y[inside] - spec.y_min) / spec.cell_size), spec.ny - 1)
+    blocked[ix.astype(np.intp), iy.astype(np.intp)] = True
     return blocked
 
 
-@dataclass(frozen=True)
 class DistanceField:
     """Per-cell 8-connected shortest distance to the goal cell (meters);
-    blocked or unreachable cells hold +inf."""
+    blocked or unreachable cells read +inf. Axis moves cost cell_size,
+    diagonal moves cell_size * sqrt(2).
 
-    spec: GridSpec
-    values: np.ndarray
+    The label-setting sweep from the goal runs only as far as reads need:
+    `at` resumes it until the asked cell is settled (Reverse Resumable A*
+    with a zero heuristic, Silver 2005). A settled label is final, so every
+    read equals what a full sweep gives. `values` holds the labels settled
+    so far, +inf elsewhere.
+    """
+
+    def __init__(self, spec: GridSpec, blocked: np.ndarray, goal_cell: tuple[int, int]):
+        self.spec = spec
+        # Cells are flat indices into the grid padded with one ring of blocked
+        # cells, so a move needs no bounds test.
+        stride = spec.ny + 2
+        padded = np.ones((spec.nx + 2, stride), dtype=bool)
+        padded[1:-1, 1:-1] = blocked
+        self._blocked = padded.tobytes()
+        settled = np.full(padded.shape, np.inf)
+        self._flat = settled.reshape(-1)
+        self.values = settled[1:-1, 1:-1]
+        self.values.setflags(write=False)
+        self._stride = stride
+        axis = spec.cell_size
+        diag = spec.cell_size * math.sqrt(2.0)
+        self._moves = tuple(
+            (dx * stride + dy, diag if dx and dy else axis)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+        )
+        goal = (goal_cell[0] + 1) * stride + goal_cell[1] + 1
+        self._best = [math.inf] * len(self._blocked)  # tentative labels
+        self._best[goal] = 0.0
+        self._heap = [(0.0, goal)]
+
+    def at(self, ix: int, iy: int) -> float:
+        """Distance of cell (ix, iy), settling cells until it is settled."""
+        k = (ix + 1) * self._stride + iy + 1
+        value = self._flat[k]
+        if value == math.inf and self._heap and not self._blocked[k]:
+            self._settle(k)
+            value = self._flat[k]
+        return float(value)
 
     def lookup(self, x: float, y: float) -> float:
-        ix, iy = self.spec.cell_of(x, y)
-        return float(self.values[ix, iy])
+        return self.at(*self.spec.cell_of(x, y))
+
+    def _settle(self, target: int) -> None:
+        """Resume the sweep until `target` is settled or nothing is left."""
+        heap, best, blocked, flat, moves = (
+            self._heap, self._best, self._blocked, self._flat, self._moves
+        )
+        while heap:
+            d, k = heapq.heappop(heap)
+            if d > best[k]:
+                continue
+            flat[k] = d
+            for step, w in moves:
+                j = k + step
+                if not blocked[j]:
+                    nd = d + w
+                    if nd < best[j]:
+                        best[j] = nd
+                        heapq.heappush(heap, (nd, j))
+            if k == target:
+                return
 
 
 def dijkstra_field(
-    spec: GridSpec, blocked: np.ndarray, goal_xy: tuple[float, float]
+    spec: GridSpec,
+    blocked: np.ndarray,
+    goal_xy: tuple[float, float],
+    start_xy: tuple[float, float],
 ) -> DistanceField:
-    """Label-setting sweep from the goal cell over free cells; axis moves cost
-    cell_size, diagonal moves cell_size * sqrt(2)."""
+    """The distance field toward the goal cell, settled up to the start
+    cell."""
     gx, gy = spec.cell_of(*goal_xy)
     if blocked[gx, gy]:
         raise ValueError("goal cell is blocked")
-    axis = spec.cell_size
-    diag = spec.cell_size * math.sqrt(2.0)
-    nx, ny = spec.nx, spec.ny
-    dist = np.full((nx, ny), np.inf)
-    dist[gx, gy] = 0.0
-    heap = [(0.0, gx, gy)]
-    moves = (
-        (1, 0, axis), (-1, 0, axis), (0, 1, axis), (0, -1, axis),
-        (1, 1, diag), (1, -1, diag), (-1, 1, diag), (-1, -1, diag),
-    )
-    while heap:
-        d, ix, iy = heapq.heappop(heap)
-        if d > dist[ix, iy]:
-            continue
-        for dx, dy, w in moves:
-            jx, jy = ix + dx, iy + dy
-            if 0 <= jx < nx and 0 <= jy < ny and not blocked[jx, jy]:
-                nd = d + w
-                if nd < dist[jx, jy]:
-                    dist[jx, jy] = nd
-                    heapq.heappush(heap, (nd, jx, jy))
-    dist.setflags(write=False)
-    return DistanceField(spec, dist)
-
+    field = DistanceField(spec, blocked, (gx, gy))
+    field.lookup(*start_xy)
+    return field

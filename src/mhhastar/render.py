@@ -55,10 +55,11 @@ def render_svg(scenario, result: PlanResult | None = None) -> str:
         out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="1.5"/>')
     out.append("</g>")
 
-    if result is not None and result.path:
-        cut = result.rs_tail_start if result.rs_tail_start is not None else len(result.path)
-        drive = result.path[:cut]
-        tail = result.path[max(cut - 1, 0):] if cut < len(result.path) else []
+    path = result.path if result is not None else []
+    if path:
+        cut = result.rs_tail_start or len(path)  # None, or an index >= 1
+        drive = path[:cut]
+        tail = path[max(cut - 1, 0):] if cut < len(path) else []
         if len(drive) >= 2:
             pts = " ".join(f"{px(p.x):.2f},{py(p.y):.2f}" for p, _ in drive)
             out.append(

@@ -161,10 +161,18 @@ def _numbers(value, where: str) -> tuple[float, ...]:
 
 
 def _points(value, where: str) -> tuple[tuple[float, float], ...]:
+    """[x, y] pairs; a pair of finite floats is taken as it is, anything else
+    goes through `_number`, which names the item on an error."""
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list of [x, y] pairs")
     out = []
+    isfinite = math.isfinite
     for i, item in enumerate(value):
+        if isinstance(item, (list, tuple)) and len(item) == 2:
+            x, y = item
+            if type(x) is float and type(y) is float and isfinite(x) and isfinite(y):
+                out.append((x, y))
+                continue
         at = f"{where}[{i}]"
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ScenarioError(f"{at}: expected an [x, y] pair")

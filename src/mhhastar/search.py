@@ -29,6 +29,7 @@ from .vehicle import (
     PenaltyConfig,
     advance_arc,
     arc_poses,
+    arc_steps,
     step_cost,
     successors,
 )
@@ -110,11 +111,14 @@ class SearchConfig:
 class PlanResult:
     """Planned path plus the benchmark metrics.
 
-    path_length is geometric (meters); cost additionally includes the
-    configured penalty surcharges accumulated by the search.
+    The path is kept as arcs from the start pose, the primitive chain
+    (`drive`) and the analytic tail (`tail`, None without one), and sampled
+    when `path` is read. path_length is geometric (meters); cost
+    additionally includes the configured penalty surcharges accumulated by
+    the search.
     """
 
-    path: list[tuple[Pose, Gear]]
+    start: Pose
     path_length: float
     cost: float
     nodes_expanded: int
@@ -122,12 +126,31 @@ class PlanResult:
     extension_time: float
     termination: Termination
     setup_time: float = 0.0
-    rs_tail_start: int | None = None
+    drive: tuple[Arc, ...] = ()
+    tail: tuple[Arc, ...] | None = None
     trace: list[tuple[Pose | None, Pose, CellKey]] | None = None
 
     @property
     def found(self) -> bool:
         return self.termination is not Termination.NO_SOLUTION
+
+    @property
+    def path(self) -> list[tuple[Pose, Gear]]:
+        """Poses SAMPLE_SPACING apart along the drive, then along the tail
+        from the drive's last sample; empty without a solution."""
+        if not self.found:
+            return []
+        path = list(arc_poses(self.start, self.drive, SAMPLE_SPACING))
+        if self.tail is not None:
+            path += list(arc_poses(path[-1][0], self.tail, SAMPLE_SPACING))[1:]
+        return path
+
+    @property
+    def rs_tail_start(self) -> int | None:
+        """Index in `path` of the first sample past the drive, or None."""
+        if self.tail is None:
+            return None
+        return 1 + sum(arc_steps(arc.length, SAMPLE_SPACING) for arc in self.drive)
 
 
 def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> list[str]:
@@ -182,7 +205,10 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
 class _Search:
     """State of one planner run over an immutable scenario."""
 
-    def __init__(self, goal: Pose, scenario, config: SearchConfig, n: int | None, trace: bool):
+    def __init__(
+        self, start: Pose, goal: Pose, scenario, config: SearchConfig, n: int | None, trace: bool
+    ):
+        self.start = start
         self.goal = goal
         self.config = config
         # Queue i >= 1 keys on g + factors[i - 1] * anchor; None keeps them all.
@@ -197,7 +223,7 @@ class _Search:
         occupancy = build_occupancy(self.spec, self.obstacles)
         goal_cell_free = not occupancy[self.spec.cell_of(goal.x, goal.y)]
         self.field: DistanceField | None = (
-            dijkstra_field(self.spec, occupancy, (goal.x, goal.y))
+            dijkstra_field(self.spec, occupancy, (goal.x, goal.y), (start.x, start.y))
             if goal_cell_free
             else None
         )
@@ -253,7 +279,7 @@ class _Search:
             existing = self.nodes.get(cell)
             if existing is not None and existing.closed:
                 continue
-            if math.isinf(self.field.values[cell.ix, cell.iy]):
+            if math.isinf(self.field.at(cell.ix, cell.iy)):
                 continue  # walled off; the anchor heuristic would be infinite
             mid = advance_arc(
                 s.pose,
@@ -291,7 +317,7 @@ class _Search:
             return path
         return None
 
-    # -- path reconstruction -------------------------------------------------
+    # -- result assembly ----------------------------------------------------
 
     def _backtrack(self, node: SearchNode) -> list[SearchNode]:
         chain = []
@@ -304,28 +330,6 @@ class _Search:
         chain.reverse()
         return chain
 
-    def reconstruct_path(
-        self, node: SearchNode, tail: RSPath | None
-    ) -> tuple[list[tuple[Pose, Gear]], float, int | None]:
-        """Sample the primitive chain, then the analytic tail when present,
-        SAMPLE_SPACING apart."""
-        chain = self._backtrack(node)
-        arc_length = self.config.primitives.arc_length
-        hops = []
-        length = 0.0
-        for hop in chain[1:]:
-            hops.append(Arc(hop.gear, math.tan(hop.steering) / self.wheelbase, arc_length))
-            length += arc_length
-        path = list(arc_poses(chain[0].pose, hops, SAMPLE_SPACING))
-        tail_start = None
-        if tail is not None:
-            tail_start = len(path)
-            path += list(arc_poses(path[-1][0], tail.segments, SAMPLE_SPACING))[1:]
-            length += tail.total_length
-        return path, length, tail_start
-
-    # -- result assembly ----------------------------------------------------
-
     def _result(
         self,
         termination: Termination,
@@ -333,16 +337,25 @@ class _Search:
         node: SearchNode | None = None,
         tail: RSPath | None = None,
     ) -> PlanResult:
-        if termination is Termination.NO_SOLUTION:
-            path: list[tuple[Pose, Gear]] = []
-            length = math.inf
-            cost = math.inf
-            tail_start = None
-        else:
-            path, length, tail_start = self.reconstruct_path(node, tail)
-            cost = node.g + (tail.total_length if tail is not None else 0.0)
+        """The result of a run; a found path is the primitive chain from the
+        start to node, as arcs, then the analytic tail when present."""
+        drive: tuple[Arc, ...] = ()
+        length = cost = math.inf
+        if node is not None:
+            arc_length = self.config.primitives.arc_length
+            drive = tuple(
+                Arc(hop.gear, math.tan(hop.steering) / self.wheelbase, arc_length)
+                for hop in self._backtrack(node)[1:]
+            )
+            length = 0.0
+            for _ in drive:  # len(drive) * arc_length can differ in the last bit
+                length += arc_length
+            cost = node.g
+            if tail is not None:
+                length += tail.total_length
+                cost += tail.total_length
         return PlanResult(
-            path=path,
+            start=self.start,
             path_length=length,
             cost=cost,
             nodes_expanded=self.expansions,
@@ -350,14 +363,16 @@ class _Search:
             extension_time=elapsed,
             termination=termination,
             setup_time=self.setup_time,
-            rs_tail_start=tail_start,
+            drive=drive,
+            tail=tail.segments if tail is not None else None,
             trace=self.trace,
         )
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self, start: Pose) -> PlanResult:
+    def run(self) -> PlanResult:
         config = self.config
+        start = self.start
         t0 = time.perf_counter()
         if self.field is None or math.isinf(self.field.lookup(start.x, start.y)):
             # The goal cell is blocked or unreachable in the 2-D relaxation.
@@ -417,7 +432,7 @@ def _plan(
     problems = input_problems(start, goal, scenario, config)
     if problems:
         raise ValueError("; ".join(problems))
-    return _Search(goal, scenario, config, n, trace).run(start)
+    return _Search(start, goal, scenario, config, n, trace).run()
 
 
 def mhha_star(

@@ -108,6 +108,12 @@ class Arc(NamedTuple):
     length: float
 
 
+def arc_steps(length: float, spacing: float) -> int:
+    """How many poses `arc_poses` gives along one arc after its start pose,
+    the last at its end."""
+    return max(math.ceil(length / spacing - 1e-9), 1)
+
+
 def arc_poses(start: Pose, arcs: Sequence[Arc], spacing: float) -> Iterator[tuple[Pose, Gear]]:
     """The start pose, then each arc's poses `spacing` m apart (last step
     shorter) ending exactly at its length, where the next arc starts; every
@@ -117,7 +123,7 @@ def arc_poses(start: Pose, arcs: Sequence[Arc], spacing: float) -> Iterator[tupl
     yield start, arcs[0].gear if arcs else Gear.FORWARD
     pose = start
     for gear, curvature, length in arcs:
-        for k in range(1, math.ceil(length / spacing - 1e-9)):
+        for k in range(1, arc_steps(length, spacing)):
             yield advance_arc(pose, gear, curvature, k * spacing), gear
         pose = advance_arc(pose, gear, curvature, length)
         yield pose, gear

@@ -122,8 +122,8 @@ def coarse_scenario():
 @pytest.fixture(scope="session")
 def coarse_field(coarse_scenario):
     occupancy = build_occupancy(coarse_scenario.workspace, coarse_scenario.obstacles)
-    goal = coarse_scenario.goal
-    return dijkstra_field(coarse_scenario.workspace, occupancy, (goal.x, goal.y))
+    start, goal = coarse_scenario.start, coarse_scenario.goal
+    return dijkstra_field(coarse_scenario.workspace, occupancy, (goal.x, goal.y), (start.x, start.y))
 
 
 @pytest.fixture(scope="session")

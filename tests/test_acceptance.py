@@ -190,19 +190,20 @@ def test_criterion_8_distance_field_oracle():
         blocked = np.array(mask, dtype=bool)
         free = [(ix, iy) for ix in range(nx) for iy in range(ny) if not blocked[ix, iy]]
         goal = rng.choice(free)
-        field = dijkstra_field(spec, blocked, cell_center(spec, *goal))
+        goal_xy = cell_center(spec, *goal)
+        field = dijkstra_field(spec, blocked, goal_xy, goal_xy)
         oracle = bellman_ford_field(nx, ny, mask, goal, spec.cell_size)
         for ix in range(nx):
             for iy in range(ny):
-                assert field.values[ix, iy] == oracle[ix][iy], (trial, ix, iy)
+                assert field.at(ix, iy) == oracle[ix][iy], (trial, ix, iy)
     import numpy as np
 
     spec = GridSpec(0.0, 9.0, 0.0, 6.0, cell_size=0.3, heading_bins=8)
-    field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (4.0, 3.0))
+    field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (4.0, 3.0), (4.0, 3.0))
     gx, gy = spec.cell_of(4.0, 3.0)
     for ix in range(spec.nx):
         for iy in range(spec.ny):
-            assert field.values[ix, iy] == pytest.approx(
+            assert field.at(ix, iy) == pytest.approx(
                 octile(ix - gx, iy - gy, spec.cell_size), abs=1e-9
             )
     print("ACCEPTANCE 8 (distance field): PASS  20 masks exact, empty map octile")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +207,25 @@ class TestObstacleSetQuery:
             got = sorted(map(tuple, obstacles.query(cx, cy, r)))
             want = sorted(p for p in pts if math.dist(p, (cx, cy)) <= r)
             assert got == pytest.approx(want)
+
+    def test_query_matches_brute_force_at_strip_edges(self):
+        # points exactly at x - r and x + r, and near them, in shuffled input
+        # order; the rows and their order equal a scan of every point
+        rng = random.Random(12)
+        for _ in range(100):
+            x, y, r = rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0.1, 4)
+            pts = [(x - r, y), (x + r, y), (x + r, y + 1e-9), (x - r, y - 1e-9)]
+            pts += [(x + r + d, y) for d in (-1e-12, 1e-12, -1e-15, 1e-15)]
+            pts += [(x - r + d, y) for d in (-1e-12, 1e-12, -1e-15, 1e-15)]
+            pts += [(rng.uniform(-15, 15), rng.uniform(-15, 15)) for _ in range(50)]
+            rng.shuffle(pts)
+            obstacles = ObstacleSet(pts)
+            arr = np.array(pts)
+            dx, dy = arr[:, 0] - x, arr[:, 1] - y
+            want = arr[dx * dx + dy * dy <= r * r]
+            got = obstacles.query(x, y, r)
+            assert got.shape == want.shape
+            assert (got == want).all()
 
 
 def brute_force_collides(pose, geometry, pts):

@@ -73,6 +73,27 @@ class TestOccupancy:
         assert mask[2, 1]
         assert mask.sum() == 1
 
+    def test_matches_cell_of_loop(self):
+        # the max bounds fold into the last cell; points outside the
+        # workspace and NaN points block nothing
+        spec = GridSpec(-1.0, 2.9, 0.5, 3.2, cell_size=0.3, heading_bins=8)
+        rng = random.Random(31)
+        edges = [
+            (spec.x_max, 1.0), (0.0, spec.y_max), (spec.x_max, spec.y_max),
+            (spec.x_min, spec.y_min), (spec.x_max + 1e-12, 1.0), (0.0, spec.y_min - 1e-12),
+            (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-0.7, 1.1), (0.2, 1.4),
+        ]
+        clouds = [[p] for p in edges] + [
+            [(rng.uniform(-1.5, 3.4), rng.uniform(0.0, 3.7)) for _ in range(30)]
+            for _ in range(20)
+        ]
+        for pts in clouds:
+            expected = np.zeros((spec.nx, spec.ny), dtype=bool)
+            for px, py in pts:
+                if spec.contains(px, py):
+                    expected[spec.cell_of(px, py)] = True
+            assert (build_occupancy(spec, ObstacleSet(pts)) == expected).all(), pts
+
 
 def random_mask(rng, nx, ny, fill):
     mask = np.zeros((nx, ny), dtype=bool)
@@ -86,7 +107,7 @@ def random_mask(rng, nx, ny, fill):
 class TestDijkstraField:
     def test_goal_cell_zero(self):
         spec = GridSpec(0, 5, 0, 5, cell_size=0.5, heading_bins=8)
-        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (2.3, 2.3))
+        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (2.3, 2.3), (2.3, 2.3))
         assert field.lookup(2.3, 2.3) == 0.0
 
     def test_blocked_goal_raises(self):
@@ -94,16 +115,16 @@ class TestDijkstraField:
         mask = np.zeros((spec.nx, spec.ny), bool)
         mask[spec.cell_of(2.3, 2.3)] = True
         with pytest.raises(ValueError):
-            dijkstra_field(spec, mask, (2.3, 2.3))
+            dijkstra_field(spec, mask, (2.3, 2.3), (2.3, 2.3))
 
     def test_empty_map_equals_octile(self):
         spec = GridSpec(0, 8, 0, 6, cell_size=0.5, heading_bins=8)
-        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (1.2, 3.1))
+        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (1.2, 3.1), (1.2, 3.1))
         gx, gy = spec.cell_of(1.2, 3.1)
         for ix in range(spec.nx):
             for iy in range(spec.ny):
                 expected = octile(ix - gx, iy - gy, spec.cell_size)
-                assert field.values[ix, iy] == pytest.approx(expected, abs=1e-9)
+                assert field.at(ix, iy) == pytest.approx(expected, abs=1e-9)
 
     def test_enclosed_region_unreachable(self):
         spec = GridSpec(0, 5, 0, 5, cell_size=0.5, heading_bins=8)
@@ -113,9 +134,9 @@ class TestDijkstraField:
             for dy in (-1, 0, 1):
                 if dx or dy:
                     mask[gx + dx, gy + dy] = True
-        field = dijkstra_field(spec, mask, (2.3, 2.3))
-        assert math.isinf(field.values[0, 0])
-        assert field.values[gx, gy] == 0.0
+        field = dijkstra_field(spec, mask, (2.3, 2.3), (2.3, 2.3))
+        assert math.isinf(field.at(0, 0))
+        assert field.at(gx, gy) == 0.0
 
     def test_matches_bellman_ford_oracle_exactly(self):
         rng = random.Random(2024)
@@ -127,11 +148,11 @@ class TestDijkstraField:
             free = [(ix, iy) for ix in range(nx) for iy in range(ny) if not mask[ix, iy]]
             gx, gy = rng.choice(free)
             goal_xy = cell_center(spec, gx, gy)
-            field = dijkstra_field(spec, mask, goal_xy)
+            field = dijkstra_field(spec, mask, goal_xy, goal_xy)
             expected = bellman_ford_field(nx, ny, mask.tolist(), (gx, gy), spec.cell_size)
             for ix in range(nx):
                 for iy in range(ny):
-                    assert field.values[ix, iy] == expected[ix][iy], (trial, ix, iy)
+                    assert field.at(ix, iy) == expected[ix][iy], (trial, ix, iy)
 
     def test_monotone_under_extra_blocks(self):
         rng = random.Random(9)
@@ -139,14 +160,17 @@ class TestDijkstraField:
         mask = random_mask(rng, spec.nx, spec.ny, fill=0.1)
         gx, gy = 7, 7
         mask[gx, gy] = False
-        before = dijkstra_field(spec, mask, cell_center(spec, gx, gy))
+        goal_xy = cell_center(spec, gx, gy)
+        before = dijkstra_field(spec, mask, goal_xy, goal_xy)
         more = mask.copy()
         free = [(ix, iy) for ix in range(spec.nx) for iy in range(spec.ny)
                 if not mask[ix, iy] and (ix, iy) != (gx, gy)]
         for ix, iy in rng.sample(free, 10):
             more[ix, iy] = True
-        after = dijkstra_field(spec, more, cell_center(spec, gx, gy))
-        assert (after.values >= before.values - 1e-12).all()
+        after = dijkstra_field(spec, more, goal_xy, goal_xy)
+        for ix in range(spec.nx):
+            for iy in range(spec.ny):
+                assert after.at(ix, iy) >= before.at(ix, iy) - 1e-12, (ix, iy)
 
     def test_neighbor_consistency_with_obstacles(self):
         # adjacent free cells differ by at most the edge cost; this is the
@@ -155,7 +179,8 @@ class TestDijkstraField:
         spec = GridSpec(0, 6, 0, 6, cell_size=0.5, heading_bins=8)
         mask = random_mask(rng, spec.nx, spec.ny, fill=0.2)
         mask[4, 4] = False
-        field = dijkstra_field(spec, mask, cell_center(spec, 4, 4))
+        goal_xy = cell_center(spec, 4, 4)
+        field = dijkstra_field(spec, mask, goal_xy, goal_xy)
         diag = spec.cell_size * math.sqrt(2.0)
         for ix in range(spec.nx):
             for iy in range(spec.ny):
@@ -165,7 +190,7 @@ class TestDijkstraField:
                     jx, jy = ix + dx, iy + dy
                     if not (0 <= jx < spec.nx and 0 <= jy < spec.ny) or mask[jx, jy]:
                         continue
-                    a, b = field.values[ix, iy], field.values[jx, jy]
+                    a, b = field.at(ix, iy), field.at(jx, jy)
                     assert math.isinf(a) == math.isinf(b)
                     if not math.isinf(a):
                         cost = spec.cell_size if dx * dy == 0 else diag
@@ -176,15 +201,48 @@ class TestDijkstraField:
         # (octile is a free-space distance); with walls between a and b the
         # field may legitimately exceed field(b) + octile(a, b)
         spec = GridSpec(0, 6, 0, 6, cell_size=0.5, heading_bins=8)
-        field = dijkstra_field(
-            spec, np.zeros((spec.nx, spec.ny), bool), cell_center(spec, 4, 4)
-        )
+        goal_xy = cell_center(spec, 4, 4)
+        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), goal_xy, goal_xy)
         cells = [(ix, iy) for ix in range(spec.nx) for iy in range(spec.ny)]
         for a in cells:
             for b in cells:
-                lhs = field.values[a]
-                rhs = field.values[b] + octile(a[0] - b[0], a[1] - b[1], spec.cell_size)
+                lhs = field.at(*a)
+                rhs = field.at(*b) + octile(a[0] - b[0], a[1] - b[1], spec.cell_size)
                 assert lhs <= rhs + 1e-9
+
+
+class TestLazyField:
+    def test_reads_in_any_order_equal_bellman_ford(self):
+        rng = random.Random(77)
+        for trial in range(10):
+            nx, ny = rng.randint(4, 18), rng.randint(4, 18)
+            spec = GridSpec(0, nx * 0.3, 0, ny * 0.3, cell_size=0.3, heading_bins=8)
+            mask = random_mask(rng, nx, ny, fill=0.3)
+            free = [(ix, iy) for ix in range(nx) for iy in range(ny) if not mask[ix, iy]]
+            gx, gy = rng.choice(free)
+            goal_xy = cell_center(spec, gx, gy)
+            field = dijkstra_field(spec, mask, goal_xy, goal_xy)
+            expected = bellman_ford_field(nx, ny, mask.tolist(), (gx, gy), spec.cell_size)
+            cells = [(ix, iy) for ix in range(nx) for iy in range(ny)] * 2
+            rng.shuffle(cells)
+            for ix, iy in cells:
+                assert field.at(ix, iy) == expected[ix][iy], (trial, ix, iy)
+
+    def test_values_hold_only_settled_labels(self):
+        spec = GridSpec(0, 6, 0, 6, cell_size=0.3, heading_bins=8)
+        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (3.1, 3.1), (4.0, 3.1))
+        settled = np.isfinite(field.values)
+        assert settled[spec.cell_of(4.0, 3.1)]
+        assert 1 < settled.sum() < spec.nx * spec.ny
+        for ix, iy in zip(*np.nonzero(settled)):
+            assert field.values[ix, iy] == field.at(ix, iy)
+
+    def test_read_near_goal_settles_few_cells(self):
+        spec = GridSpec(0, 120, 0, 40.2, cell_size=0.3, heading_bins=8)
+        assert (spec.nx, spec.ny) == (400, 134)
+        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (60.1, 20.1), (60.1, 20.1))
+        assert field.lookup(63.1, 20.1) == pytest.approx(3.0)
+        assert np.isfinite(field.values).sum() < 0.02 * spec.nx * spec.ny
 
 
 class TestFieldLookup:
@@ -193,7 +251,7 @@ class TestFieldLookup:
     def _field(self, mask=None):
         if mask is None:
             mask = np.zeros((self.SPEC.nx, self.SPEC.ny), bool)
-        return dijkstra_field(self.SPEC, mask, (2.3, 2.3))
+        return dijkstra_field(self.SPEC, mask, (2.3, 2.3), (2.3, 2.3))
 
     def test_goal_zero(self):
         assert self._field().lookup(2.3, 2.3) == 0.0

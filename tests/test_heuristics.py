@@ -18,7 +18,7 @@ GOAL = Pose(2.3, -1.2, 0.0)
 
 @pytest.fixture(scope="module")
 def empty_field():
-    return dijkstra_field(SPEC, np.zeros((SPEC.nx, SPEC.ny), bool), (GOAL.x, GOAL.y))
+    return dijkstra_field(SPEC, np.zeros((SPEC.nx, SPEC.ny), bool), (GOAL.x, GOAL.y), (GOAL.x, GOAL.y))
 
 
 @pytest.fixture(scope="module")

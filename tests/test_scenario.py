@@ -304,6 +304,31 @@ class TestFiles:
         with pytest.raises(ScenarioError, match=r"extra_points\[0\]"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ([5, 6], None),
+            ([5.0, 6], None),
+            ([True, 1.0], "obstacles.extra_points[2]: expected a number"),
+            ([1.0, False], "obstacles.extra_points[2]: expected a number"),
+            ([NAN, 1.0], "obstacles.extra_points[2]: expected a finite number"),
+            ([1.0, INF], "obstacles.extra_points[2]: expected a finite number"),
+            ([1.0, 2.0, 3.0], "obstacles.extra_points[2]: expected an [x, y] pair"),
+            ("ab", "obstacles.extra_points[2]: expected an [x, y] pair"),
+        ],
+    )
+    def test_extra_point_messages(self, item, message):
+        data = _forward_data()
+        data["obstacles"]["extra_points"] = [[5.0, 5.0], [6.0, 7.0], item]
+        if message is None:
+            point = scenario_from_dict(data).extra_points[-1]
+            assert point == (float(item[0]), float(item[1]))
+            assert all(type(v) is float for v in point)
+        else:
+            with pytest.raises(ScenarioError) as err:
+                scenario_from_dict(data)
+            assert str(err.value) == message
+
     def test_parse_error_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"workspace": {,}\n')

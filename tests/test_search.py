@@ -18,7 +18,7 @@ from mhhastar.search import (
     hybrid_a_star,
     mhha_star,
 )
-from mhhastar.vehicle import Gear
+from mhhastar.vehicle import Gear, advance_arc
 
 from conftest import make_coarse_scenario, make_open_scenario
 
@@ -184,7 +184,7 @@ class TestImmediateCases:
 
 def make_searcher(sc, n=1):
     """A live search over `sc` with only the start node inserted."""
-    s = _Search(sc.goal, sc, sc.search, n, trace=False)
+    s = _Search(sc.start, sc.goal, sc, sc.search, n, trace=False)
     start = SearchNode(
         pose=sc.start, gear=Gear.FORWARD, steering=0.0,
         cell=discretize(sc.start, Gear.FORWARD, sc.workspace),
@@ -202,7 +202,7 @@ class TestQueueKeys:
     def s(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         config = dataclasses.replace(sc.search, inflation_factors=(2.0, 3.0))
-        return _Search(sc.goal, sc, config, None, trace=False)
+        return _Search(sc.start, sc.goal, sc, config, None, trace=False)
 
     @staticmethod
     def _node(s, g, pose):
@@ -454,6 +454,34 @@ class TestResultInvariants:
         assert r.nodes_expanded == 0
         assert r.path_length == pytest.approx(10.0, abs=1e-9)
 
+    def test_shortcut_at_start_in_reverse_tags_start_forward(self):
+        sc = make_open_scenario(Pose(10, 0, 0), Pose(0, 0, 0))
+        config = dataclasses.replace(sc.search, setvalue=1)
+        r = mhha_star(sc.start, sc.goal, sc, config)
+        assert r.termination is Termination.RS_SHORTCUT
+        assert r.nodes_expanded == 0
+        assert r.rs_tail_start == 1
+        path = r.path
+        assert path[0] == (sc.start, Gear.FORWARD)
+        assert {gear for _, gear in path[1:]} == {Gear.REVERSE}
+        assert len(path) == 101
+
+    def test_rs_tail_start_splits_drive_and_tail(self, benchmark_results):
+        for result in benchmark_results.values():
+            path, cut = result.path, result.rs_tail_start
+            assert result.tail is not None and len(result.drive) > 1
+            end = result.start
+            for arc in result.drive:
+                end = advance_arc(end, *arc)
+            assert path[cut - 1][0] == end
+            assert path[cut][1] is result.tail[0].gear
+
+    def test_path_is_equal_on_repeated_reads(self, benchmark_results):
+        for result in benchmark_results.values():
+            first = result.path
+            assert result.path == first
+            assert result.path is not first
+
     def test_goal_key_path_length_is_step_sum(self):
         sc = make_coarse_scenario()
         r = hybrid_a_star(sc.start, sc.goal, sc)
@@ -478,12 +506,13 @@ class TestReconstructPath:
                 if n.bp is node and n.gear is gear and n.steering == steering
             )
         chain = s._backtrack(node)
-        path, length, tail_start = s.reconstruct_path(node, None)
+        result = s._result(Termination.GOAL_KEY, 0.0, node)
+        path = result.path
         assert len(path) == 6 * len(moves) + 1
         assert [pose for pose, _ in path[::6]] == [n.pose for n in chain]
         assert [gear for _, gear in path[1:]] == [g for g, _ in moves for _ in range(6)]
-        assert length == 0.6 + 0.6 + 0.6 + 0.6
-        assert tail_start is None
+        assert result.path_length == 0.6 + 0.6 + 0.6 + 0.6
+        assert result.rs_tail_start is None
 
 
 class TestBacktrackGuard:
@@ -496,5 +525,5 @@ class TestBacktrackGuard:
         )
         start.bp = other  # corrupt the tree
         with pytest.raises(RuntimeError, match="cyclic"):
-            s.reconstruct_path(other, None)
+            s._result(Termination.GOAL_KEY, 0.0, other)
 

@@ -15,6 +15,7 @@ from mhhastar.vehicle import (
     VehicleLimits,
     advance_arc,
     arc_poses,
+    arc_steps,
     step_cost,
     successors,
 )
@@ -133,6 +134,11 @@ class TestArcPoses:
 
     def test_no_arcs_yields_the_start(self):
         assert list(arc_poses(self.START, [], 0.1)) == [(self.START, Gear.FORWARD)]
+
+    @pytest.mark.parametrize("length", [0.0, 0.05, 0.1, 0.25, 0.50000000005, 0.6, 1.2])
+    def test_arc_steps_counts_the_poses_after_the_start(self, length):
+        poses = list(arc_poses(self.START, [Arc(Gear.REVERSE, 0.2, length)], 0.1))
+        assert len(poses) == 1 + arc_steps(length, 0.1)
 
 
 class TestSuccessors:
