@@ -49,6 +49,7 @@ def _metrics_dict(result: PlanResult) -> dict:
         "termination": result.termination.value,
         "nodes_expanded": result.nodes_expanded,
         "iterations": result.iterations,
+        "heuristic_evaluations": result.heuristic_evaluations,
         "extension_time": result.extension_time,
         "setup_time": result.setup_time,
         "path_length": None if math.isinf(result.path_length) else result.path_length,

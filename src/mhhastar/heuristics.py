@@ -1,5 +1,7 @@
 """The admissible anchor heuristic: the max of the curvature-aware and
-obstacle-aware lower bounds. The search inflates it once per extra queue."""
+obstacle-aware lower bounds. The search inflates it once per extra queue,
+and evaluates it only for nodes that reach the head of a queue; until then
+the obstacle-aware bound alone keys them."""
 
 from __future__ import annotations
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .geometry import ObstacleSet, Pose, VehicleGeometry
 from .grid import GridSpec
@@ -108,12 +111,17 @@ def build_parallel_parking(
     extra_points: Sequence[tuple[float, float]] = (),
 ) -> Scenario:
     """Deterministically assemble a scenario: the walls of `spot` (none when
-    it is None), then `extra_points`. The one place a Scenario is built."""
+    it is None), then `extra_points`. The one place a Scenario is built.
+
+    The extra points are made float pairs once, the form the Scenario keeps,
+    and the obstacle array is filled from the pairs in one pass."""
     extra = tuple((float(x), float(y)) for x, y in extra_points)
     walls = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING) if spot is not None else []
+    coords = chain.from_iterable(chain(walls, extra))
+    points = np.fromiter(coords, float, 2 * (len(walls) + len(extra))).reshape(-1, 2)
     return Scenario(
         workspace=workspace,
-        obstacles=ObstacleSet(walls + list(extra)),
+        obstacles=ObstacleSet(points),
         spot=spot,
         start=start,
         goal=goal,

@@ -6,6 +6,12 @@ path costs. Inadmissible queues are serviced round-robin while their minimum
 key stays within an omega factor of the anchor's; otherwise the anchor runs.
 Every `setvalue` steps the head node is probed for an exact curve to the goal,
 which terminates the search early when collision-free.
+
+The anchor heuristic is evaluated lazily (Lazy A*, Tolpin et al. 2013): a new
+or reopened node is pushed on a lower bound of its keys, built from the
+holonomic field value the walled-off test already read, and its anchor is
+computed only when one of its live entries reaches the head of a queue. The
+heads, and so every search decision, are the ones eager keys would give.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
 from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
@@ -55,33 +62,56 @@ class SearchNode:
     cell: CellKey
     g: float
     bp: "SearchNode | None"
-    h_anchor: float = 0.0
+    h_anchor: float | None = None  # None until evaluated for this pose
     closed: bool = False
     version: int = 0  # bumped on every reinsert/removal; stale heap entries skip
 
 
 class OpenList:
-    """One binary heap per heuristic index with lazy deletion.
+    """One binary heap per queue with lazy deletion and lazy keys.
 
-    Entries are (key, insertion counter, node version, node); an entry is live
-    only while its version matches the node's. Pop order is ascending key,
-    FIFO among ties.
+    Queue i keys a node on g + factors[i] * anchor; factors[0] is 1.0, the
+    anchor queue. Entries are (key, insertion counter, node version, node);
+    an entry is live only while its version matches the node's. A node is
+    pushed on a lower bound of its anchor. When a live entry reaches the head
+    of a queue, the node's anchor is evaluated (once per push), and an entry
+    whose key is below the true key goes back into the heap with the true
+    key, its counter and its version. Float add and multiply round
+    monotonically, so a lower-bound key never exceeds the true one, and the
+    first head that holds its true key is the least (true key, counter) of
+    the queue: pop order is ascending key, FIFO among ties, as if every key
+    had been exact from the start.
     """
 
-    def __init__(self, n_queues: int):
-        self._heaps: list[list] = [[] for _ in range(n_queues)]
+    def __init__(self, factors: tuple[float, ...], anchor: Callable[[Pose], float]):
+        self._factors = factors
+        self._anchor = anchor
+        self._heaps: list[list] = [[] for _ in factors]
         self._counter = itertools.count()
+        self.evaluations = 0
 
-    def push(self, i: int, key_value: float, node: SearchNode) -> None:
-        heappush(self._heaps[i], (key_value, next(self._counter), node.version, node))
+    def push(self, node: SearchNode, h_lower: float) -> None:
+        """(Re)insert node into every queue; h_lower <= its anchor."""
+        node.version += 1
+        node.h_anchor = None
+        for heap, factor in zip(self._heaps, self._factors):
+            heappush(heap, (node.g + factor * h_lower, next(self._counter), node.version, node))
 
     def _head(self, i: int):
         heap = self._heaps[i]
+        factor = self._factors[i]
         while heap:
-            entry = heap[0]
-            if entry[2] == entry[3].version:
-                return entry
-            heappop(heap)
+            key, count, version, node = heap[0]
+            if version != node.version:
+                heappop(heap)
+                continue
+            if node.h_anchor is None:
+                node.h_anchor = self._anchor(node.pose)
+                self.evaluations += 1
+            true_key = node.g + factor * node.h_anchor
+            if key == true_key:
+                return heap[0]
+            heapreplace(heap, (true_key, count, version, node))
         return None
 
     def minkey(self, i: int) -> float:
@@ -109,7 +139,8 @@ class SearchConfig:
 
 @dataclass
 class PlanResult:
-    """Planned path plus the benchmark metrics.
+    """Planned path plus the benchmark metrics; heuristic_evaluations counts
+    anchor evaluations, one Reeds–Shepp solve each.
 
     The path is kept as arcs from the start pose, the primitive chain
     (`drive`) and the analytic tail (`tail`, None without one), and sampled
@@ -125,6 +156,7 @@ class PlanResult:
     iterations: int
     extension_time: float
     termination: Termination
+    heuristic_evaluations: int = 0
     setup_time: float = 0.0
     drive: tuple[Arc, ...] = ()
     tail: tuple[Arc, ...] | None = None
@@ -229,9 +261,10 @@ class _Search:
         )
         self.setup_time = time.perf_counter() - t0
 
-        if self.field is not None:
-            self.heuristics = HeuristicSet(goal, self.field, self.turning_radius)
-        self.open = OpenList(len(self.factors) + 1)
+        # Without a field, run() returns before any key is read. The open list
+        # holds the bound method, not self, so no cycle keeps the search alive.
+        self.heuristics = HeuristicSet(goal, self.field, self.turning_radius)
+        self.open = OpenList((1.0, *self.factors), self.heuristics.anchor)
         self.nodes: dict[CellKey, SearchNode] = {}
         # The least-g node in the goal cell, the first inserted among equal g;
         # goal_rank numbers goal nodes in the order of their first insert.
@@ -245,12 +278,10 @@ class _Search:
 
     # -- node bookkeeping ---------------------------------------------------
 
-    def _insert(self, node: SearchNode) -> None:
-        """(Re)insert an open node into every queue."""
-        node.version += 1
-        self.open.push(0, node.g + node.h_anchor, node)
-        for i, factor in enumerate(self.factors, start=1):
-            self.open.push(i, node.g + factor * node.h_anchor, node)
+    def _insert(self, node: SearchNode, h_holonomic: float) -> None:
+        """(Re)insert an open node into every queue, keyed on its holonomic
+        value until its anchor is evaluated."""
+        self.open.push(node, h_holonomic)
         if node.cell[:3] == self.goal_xyt:
             rank = self.goal_rank.setdefault(node, len(self.goal_rank))
             best = self.goal_node
@@ -279,7 +310,8 @@ class _Search:
             existing = self.nodes.get(cell)
             if existing is not None and existing.closed:
                 continue
-            if math.isinf(self.field.at(cell.ix, cell.iy)):
+            h_holonomic = self.field.at(cell.ix, cell.iy)
+            if math.isinf(h_holonomic):
                 continue  # walled off; the anchor heuristic would be infinite
             mid = advance_arc(
                 s.pose,
@@ -298,17 +330,15 @@ class _Search:
                     cell=cell,
                     g=g_new,
                     bp=s,
-                    h_anchor=self.heuristics.anchor(end),
                 )
                 self.nodes[cell] = node
-                self._insert(node)
+                self._insert(node, h_holonomic)
             elif g_new < existing.g:
                 existing.pose = end
                 existing.steering = step.steering
                 existing.g = g_new
                 existing.bp = s
-                existing.h_anchor = self.heuristics.anchor(end)
-                self._insert(existing)
+                self._insert(existing, h_holonomic)
 
     def analytic_expansion(self, s: SearchNode) -> RSPath | None:
         """Exact curve from s to the goal, or None when it collides."""
@@ -360,6 +390,7 @@ class _Search:
             cost=cost,
             nodes_expanded=self.expansions,
             iterations=self.iterations,
+            heuristic_evaluations=self.open.evaluations,
             extension_time=elapsed,
             termination=termination,
             setup_time=self.setup_time,
@@ -374,7 +405,8 @@ class _Search:
         config = self.config
         start = self.start
         t0 = time.perf_counter()
-        if self.field is None or math.isinf(self.field.lookup(start.x, start.y)):
+        h_start = math.inf if self.field is None else self.field.lookup(start.x, start.y)
+        if math.isinf(h_start):
             # The goal cell is blocked or unreachable in the 2-D relaxation.
             return self._result(Termination.NO_SOLUTION, time.perf_counter() - t0)
 
@@ -385,10 +417,9 @@ class _Search:
             cell=discretize(start, Gear.FORWARD, self.spec),
             g=0.0,
             bp=None,
-            h_anchor=self.heuristics.anchor(start),
         )
         self.nodes[start_node.cell] = start_node
-        self._insert(start_node)
+        self._insert(start_node, h_start)
 
         indices = tuple(range(1, len(self.factors) + 1)) or (0,)
         omega = config.omega_factor

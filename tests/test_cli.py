@@ -55,9 +55,11 @@ class TestPlan:
         assert code == 0
         assert "path_length=" in captured.out
         assert "nodes_expanded=" in captured.out
+        assert "heuristic_evaluations=" in captured.out
         data = json.loads(report.read_text())
         assert data["planner"] == "mhha"
         assert data["metrics"]["found"] is True
+        assert data["metrics"]["heuristic_evaluations"] > 0
         lines = pathfile.read_text().splitlines()
         assert len(lines) > 10
         x, y, theta, gear = lines[0].split()
@@ -164,6 +166,9 @@ class TestCompare:
         assert report["planners"]["mhha"]["nodes_expanded"] == fresh.nodes_expanded
         assert report["planners"]["mhha"]["iterations"] == fresh.iterations
         assert report["planners"]["mhha"]["path_length"] == fresh.path_length
+        assert (
+            report["planners"]["mhha"]["heuristic_evaluations"] == fresh.heuristic_evaluations
+        )
 
 
 class TestModuleEntryPoint:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -354,6 +355,38 @@ class TestFiles:
         loaded = load_scenario(path)
         assert loaded.extra_points == ((5.0, 5.0), (-3.0, 9.0))
         assert len(loaded.obstacles) == len(scenario.obstacles)
+
+    def test_loaded_obstacles_are_walls_then_extra_points(self):
+        data = _forward_data()
+        data["obstacles"]["extra_points"] = [[5.0, 5.0], [-3.25, 9.5], [0.1, 0.2]]
+        scenario = scenario_from_dict(data)
+        walls = _parking_walls(scenario.workspace, scenario.spot, scenario.goal, WALL_POINT_SPACING)
+        assert scenario.extra_points == ((5.0, 5.0), (-3.25, 9.5), (0.1, 0.2))
+        expected = np.array(walls + list(scenario.extra_points), dtype=float)
+        assert scenario.obstacles.points.dtype == np.float64
+        assert np.array_equal(scenario.obstacles.points, expected)
+
+    def test_library_int_points_become_float_pairs(self, forward_scenario):
+        def build(points):
+            return build_parallel_parking(
+                workspace=forward_scenario.workspace,
+                vehicle=forward_scenario.vehicle,
+                limits=forward_scenario.limits,
+                spot=forward_scenario.spot,
+                start=forward_scenario.start,
+                goal=forward_scenario.goal,
+                extra_points=points,
+            )
+
+        from_ints = build([(5, 5), [-3, 9], (np.int64(2), 7)])
+        from_floats = build(((5.0, 5.0), (-3.0, 9.0), (2.0, 7.0)))
+        assert from_ints.extra_points == from_floats.extra_points
+        assert all(type(v) is float for pair in from_ints.extra_points for v in pair)
+        assert all(type(pair) is tuple for pair in from_ints.extra_points)
+        assert np.array_equal(from_ints.obstacles.points, from_floats.obstacles.points)
+        assert from_ints.obstacles.points.shape == (len(forward_scenario.obstacles) + 3, 2)
+        with pytest.raises(ValueError):
+            build([(1.0, 2.0, 3.0)])
 
     def test_spotless_scenario(self):
         data = _forward_data()

@@ -1,10 +1,15 @@
 import dataclasses
+import gc
 import math
 import random
 import re
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mhhastar import heuristics
 from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
 from mhhastar.grid import CellKey, discretize
 from mhhastar.scenario import validate
@@ -68,39 +73,138 @@ def _take_fields(obj, changes: dict):
 
 
 class TestOpenList:
-    def _node(self, g=0.0):
+    """The anchor of a node in these tests is its pose's x."""
+
+    @staticmethod
+    def _open(*factors):
+        return OpenList((1.0, *factors), lambda pose: pose.x)
+
+    @staticmethod
+    def _node(g=0.0, h=0.0):
         return SearchNode(
-            pose=Pose(0, 0, 0), gear=Gear.FORWARD, steering=0.0,
+            pose=Pose(h, 0, 0), gear=Gear.FORWARD, steering=0.0,
             cell=CellKey(0, 0, 0, Gear.FORWARD), g=g, bp=None,
         )
 
     def test_empty_minkey_is_inf(self):
-        assert OpenList(1).minkey(0) == math.inf
-        assert OpenList(1).top(0) is None
+        assert self._open().minkey(0) == math.inf
+        assert self._open().top(0) is None
 
     def test_fifo_among_ties(self):
-        ol = OpenList(1)
-        a, b = self._node(), self._node()
-        ol.push(0, 1.0, a)
-        ol.push(0, 1.0, b)
+        ol = self._open()
+        a, b = self._node(h=1.0), self._node(h=1.0)
+        ol.push(a, 1.0)
+        ol.push(b, 1.0)
         assert ol.top(0) is a
 
     def test_stale_entries_skipped(self):
-        ol = OpenList(1)
-        a, b = self._node(), self._node()
-        ol.push(0, 1.0, a)
-        ol.push(0, 2.0, b)
+        ol = self._open()
+        a, b = self._node(h=1.0), self._node(h=2.0)
+        ol.push(a, 1.0)
+        ol.push(b, 2.0)
         a.version += 1  # removal
         assert ol.top(0) is b
         assert ol.minkey(0) == 2.0
 
     def test_reinsert_with_new_key(self):
-        ol = OpenList(1)
-        a = self._node()
-        ol.push(0, 5.0, a)
-        a.version += 1
-        ol.push(0, 1.0, a)
+        ol = self._open()
+        a = self._node(h=5.0)
+        ol.push(a, 5.0)
+        a.pose = Pose(1.0, 0, 0)
+        ol.push(a, 1.0)
         assert ol.minkey(0) == 1.0
+
+    def test_lower_bound_head_is_rekeyed(self):
+        ol = self._open()
+        a, b = self._node(h=5.0), self._node(h=3.0)
+        ol.push(a, 0.0)
+        ol.push(b, 3.0)
+        assert ol.top(0) is b
+        assert ol.minkey(0) == 3.0
+        assert (a.h_anchor, b.h_anchor, ol.evaluations) == (5.0, 3.0, 2)
+
+    def test_rekeyed_entry_keeps_its_place_among_ties(self):
+        ol = self._open()
+        a, b = self._node(h=2.0), self._node(h=2.0)
+        ol.push(a, 0.0)
+        ol.push(b, 2.0)
+        assert ol.top(0) is a
+
+    def test_anchor_evaluated_once_per_push(self):
+        ol = self._open(2.0, 3.0)
+        a = self._node(g=1.0, h=2.0)
+        ol.push(a, 0.0)
+        assert [ol.minkey(i) for i in range(3)] == [3.0, 5.0, 7.0]
+        assert ol.evaluations == 1
+        a.pose = Pose(4.0, 0, 0)
+        ol.push(a, 0.0)
+        assert [ol.minkey(i) for i in range(3)] == [5.0, 9.0, 13.0]
+        assert ol.evaluations == 2
+
+    def test_unreached_nodes_are_never_evaluated(self):
+        ol = self._open()
+        nodes = [self._node(h=float(k)) for k in range(10)]
+        for node in nodes:
+            ol.push(node, node.pose.x)
+        assert ol.top(0) is nodes[0]
+        assert ol.evaluations == 1
+        assert all(node.h_anchor is None for node in nodes[1:])
+
+
+# One open-list operation: push (node index, g, anchor, anchor minus its
+# lower bound) or expand (queue index). Small value sets make ties common.
+_PUSH = st.tuples(
+    st.just("push"),
+    st.integers(0, 5),
+    st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+    st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0)),
+    st.sampled_from((0.0, 0.0, 0.5, 1.0)),
+)
+_EXPAND = st.tuples(st.just("expand"), st.integers(0, 2))
+
+
+class TestLazyKeysMatchEagerKeys:
+    """The lazy open list pops what a heap keyed on true keys would pop."""
+
+    @staticmethod
+    def _eager_head(entries):
+        live = [e for e in entries if e[2] == e[3].version]
+        return min(live, key=lambda e: e[:2], default=None)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        factors=st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), max_size=2),
+        ops=st.lists(st.one_of(_PUSH, _EXPAND), max_size=40),
+    )
+    def test_same_pops_and_minkeys(self, factors, ops):
+        factors = (1.0, *factors)
+        anchors = []  # a pose's x indexes its true anchor here
+        ol = OpenList(factors, lambda pose: anchors[int(pose.x)])
+        nodes = [TestOpenList._node() for _ in range(6)]
+        eager = [[] for _ in factors]
+        counter = 0
+        for op in ops:
+            if op[0] == "push":
+                _, k, g, h, slack = op
+                node = nodes[k]
+                node.g, node.pose = g, Pose(float(len(anchors)), 0, 0)
+                anchors.append(h)
+                ol.push(node, h - slack)
+                for entries, factor in zip(eager, factors):
+                    entries.append((g + factor * h, counter, node.version, node))
+                    counter += 1
+            else:
+                i = op[1] % len(factors)
+                head = self._eager_head(eager[i])
+                top = ol.top(i)
+                assert top is (head[3] if head else None)
+                if top is not None:
+                    top.version += 1  # removal from every queue
+            for i, entries in enumerate(eager):
+                head = self._eager_head(entries)
+                assert ol.minkey(i) == (head[0] if head else math.inf)
+                assert ol.top(i) is (head[3] if head else None)
+        assert ol.evaluations <= len(anchors)
 
 
 class TestImmediateCases:
@@ -188,11 +292,16 @@ def make_searcher(sc, n=1):
     start = SearchNode(
         pose=sc.start, gear=Gear.FORWARD, steering=0.0,
         cell=discretize(sc.start, Gear.FORWARD, sc.workspace),
-        g=0.0, bp=None, h_anchor=s.heuristics.anchor(sc.start),
+        g=0.0, bp=None,
     )
     s.nodes[start.cell] = start
-    s._insert(start)
+    insert(s, start)
     return s, start
+
+
+def insert(s, node):
+    """(Re)insert node into a live search, keyed on its holonomic value."""
+    s._insert(node, s.field.lookup(node.pose.x, node.pose.y))
 
 
 class TestQueueKeys:
@@ -209,13 +318,13 @@ class TestQueueKeys:
         return SearchNode(
             pose=pose, gear=Gear.FORWARD, steering=0.0,
             cell=discretize(pose, Gear.FORWARD, s.spec),
-            g=g, bp=None, h_anchor=s.heuristics.anchor(pose),
+            g=g, bp=None,
         )
 
     def _keys(self, s, g, pose):
         """Every queue's key for one inserted node, which is then dropped."""
         node = self._node(s, g, pose)
-        s._insert(node)
+        insert(s, node)
         keys = [s.open.minkey(i) for i in range(len(s.factors) + 1)]
         node.version += 1
         return keys
@@ -247,7 +356,7 @@ class TestQueueKeys:
         rng = random.Random(56)
         for _ in range(50):
             pose = Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
-            s._insert(self._node(s, 0.0, pose))
+            insert(s, self._node(s, 0.0, pose))
         served = 0
         while (head := s.open.top(0)) is not None:
             assert s.open.top(1) is head and s.open.top(2) is head
@@ -280,10 +389,10 @@ class TestExpandNode:
         cell = discretize(ahead, Gear.FORWARD, sc.workspace)
         planted = SearchNode(
             pose=Pose(arc - 0.01, 0.0, 0.0), gear=Gear.FORWARD, steering=0.0,
-            cell=cell, g=0.1, bp=None, h_anchor=s.heuristics.anchor(ahead),
+            cell=cell, g=0.1, bp=None,
         )
         s.nodes[cell] = planted
-        s._insert(planted)
+        insert(s, planted)
         s.expand_node(start)
         # the straight successor costs arc > 0.1: stored g, bp, pose untouched
         assert planted.g == 0.1
@@ -298,10 +407,10 @@ class TestExpandNode:
         cell = discretize(ahead, Gear.FORWARD, sc.workspace)
         planted = SearchNode(
             pose=Pose(arc - 0.01, 0.0, 0.0), gear=Gear.FORWARD, steering=0.3,
-            cell=cell, g=99.0, bp=None, h_anchor=s.heuristics.anchor(ahead),
+            cell=cell, g=99.0, bp=None,
         )
         s.nodes[cell] = planted
-        s._insert(planted)
+        insert(s, planted)
         s.expand_node(start)
         assert planted.g == pytest.approx(arc)
         assert planted.bp is start
@@ -339,15 +448,15 @@ class TestGoalNode:
         assert s.goal_node is None
         first, second = self._goal_nodes(sc)
         first.g = 5.0
-        s._insert(first)
+        insert(s, first)
         second.g = 3.0
-        s._insert(second)
+        insert(s, second)
         assert s.goal_node is second
         first.g = 3.0  # an earlier node drops to tie the later best
-        s._insert(first)
+        insert(s, first)
         assert s.goal_node is first
         second.g = 2.0
-        s._insert(second)
+        insert(s, second)
         assert s.goal_node is second
 
     def test_matches_a_scan_of_inserted_goal_nodes(self):
@@ -362,12 +471,29 @@ class TestGoalNode:
             for _ in range(10):
                 node = rng.choice(nodes)
                 node.g = min(node.g, float(rng.randrange(1, 6)))
-                s._insert(node)
+                insert(s, node)
                 if node not in inserted:
                     inserted.append(node)
                 assert s.goal_node is min(inserted, key=lambda n: n.g)
-            s._insert(start)
+            insert(s, start)
             assert s.goal_node is min(inserted, key=lambda n: n.g)
+
+
+class TestSearchLifetime:
+    def test_finished_search_is_freed_without_the_cycle_collector(self):
+        # A reference cycle through the open list would keep the nodes, the
+        # heaps and the distance field of every finished search alive until
+        # the next full collection, which shows as peak memory over many plans.
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        gc.disable()
+        try:
+            s = _Search(sc.start, sc.goal, sc, sc.search, None, trace=False)
+            assert s.run().found
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestAnalyticExpansion:
@@ -428,6 +554,36 @@ class TestResultInvariants:
             assert (result.nodes_expanded, result.iterations) == (nodes, iterations), case
             assert result.termination is Termination.RS_SHORTCUT, case
             assert result.path_length == pytest.approx(length, abs=1e-6), case
+
+    def test_benchmark_anchor_evaluations_pinned(self, benchmark_results):
+        # The anchor is evaluated only for nodes that reach a queue's head.
+        # Evaluating it for every created or reopened node, as an eager open
+        # list must, took the second count of each case.
+        expected = {
+            ("forward", "mhha"): (1033, 2204),
+            ("forward", "hybrid"): (2340, 5033),
+            ("backward", "mhha"): (338, 1391),
+            ("backward", "hybrid"): (1350, 4036),
+        }
+        for case, (lazy, eager) in expected.items():
+            evaluations = benchmark_results[case].heuristic_evaluations
+            assert evaluations == lazy < eager, case
+
+    @pytest.mark.parametrize("planner", [mhha_star, hybrid_a_star])
+    def test_anchor_evaluations_match_rs_calls(self, backward_scenario, monkeypatch, planner):
+        # Each anchor evaluation solves one Reeds-Shepp problem, and nothing
+        # else calls the heuristic module's solver.
+        calls = []
+        original = heuristics.rs_shortest
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(heuristics, "rs_shortest", counted)
+        sc = backward_scenario
+        result = planner(sc.start, sc.goal, sc)
+        assert result.heuristic_evaluations == len(calls) > 0
 
     def test_expansion_trace_counts_match(self, benchmark_results):
         for result in benchmark_results.values():
