@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .geometry import Pose, normalize_angle
-from .vehicle import SAMPLE_SPACING, Arc, Gear, arc_poses
+from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_stations, bisection_order
 
 
 @dataclass(frozen=True)
@@ -303,11 +303,15 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
 
 
 def rs_collision_free(path: RSPath, start: Pose, geometry, obstacles) -> bool:
-    """True iff the vehicle clears the obstacles at every path sample,
-    SAMPLE_SPACING apart; stops at the first colliding one."""
+    """True iff the vehicle clears the obstacles at every pose `arc_poses`
+    samples SAMPLE_SPACING apart. Visits them in bisection order (start,
+    middle, quarters, ...), builds each pose only when it is visited, and
+    returns False at the first colliding one."""
     from .geometry import vehicle_collides
 
-    for pose, _ in arc_poses(start, path.segments, SAMPLE_SPACING):
+    stations = arc_stations(start, path.segments, SAMPLE_SPACING)
+    for k in bisection_order(len(stations) + 1):
+        pose = advance_arc(*stations[k - 1]) if k else start
         if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

@@ -5,6 +5,7 @@ into path poses."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
@@ -114,19 +115,45 @@ def arc_steps(length: float, spacing: float) -> int:
     return max(math.ceil(length / spacing - 1e-9), 1)
 
 
+Station = tuple[Pose, Gear, float, float]  # arc start, gear, curvature, distance along the arc
+
+
+def arc_stations(start: Pose, arcs: Sequence[Arc], spacing: float) -> list[Station]:
+    """The stations of every pose `arc_poses` gives after the start pose:
+    each arc's every `spacing` m, then its end, where the next arc starts."""
+    if spacing <= 0.0:
+        raise ValueError("spacing must be positive")
+    stations = []
+    pose = start
+    for gear, curvature, length in arcs:
+        stations += [(pose, gear, curvature, k * spacing) for k in range(1, arc_steps(length, spacing))]
+        stations.append((pose, gear, curvature, length))
+        pose = advance_arc(pose, gear, curvature, length)
+    return stations
+
+
 def arc_poses(start: Pose, arcs: Sequence[Arc], spacing: float) -> Iterator[tuple[Pose, Gear]]:
     """The start pose, then each arc's poses `spacing` m apart (last step
     shorter) ending exactly at its length, where the next arc starts; every
     pose is tagged with its arc's gear, the start with the first arc's."""
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    stations = arc_stations(start, arcs, spacing)
     yield start, arcs[0].gear if arcs else Gear.FORWARD
-    pose = start
-    for gear, curvature, length in arcs:
-        for k in range(1, arc_steps(length, spacing)):
-            yield advance_arc(pose, gear, curvature, k * spacing), gear
-        pose = advance_arc(pose, gear, curvature, length)
-        yield pose, gear
+    for station in stations:
+        yield advance_arc(*station), station[1]
+
+
+def bisection_order(n: int) -> Iterator[int]:
+    """Each of range(n) once: 0, then the midpoints of ever finer halvings,
+    0, n/2, n/4, 3n/4, ..., so that early indices spread over the range."""
+    if n > 0:
+        yield 0
+    spans = deque([(0, n)])
+    while spans:
+        lo, hi = spans.popleft()
+        mid = (lo + hi) // 2
+        if mid > lo:
+            yield mid
+            spans += ((lo, mid), (mid, hi))
 
 
 def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[MotionStep]:

@@ -8,6 +8,7 @@ and search costs come from a plain uniform-cost loop without heuristics.
 The curve oracle lists every endpoint-valid Reeds-Shepp word, where the
 library's selection verifies only until the shortest one is found. The frame
 transform and rectangle test are the textbook form of the collision check.
+The analytic collision verdict comes from a plain start-to-end scan.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 
+from mhhastar.geometry import vehicle_collides
 from mhhastar.grid import CellKey
 from mhhastar.reeds_shepp import (
     RSPath,
@@ -24,7 +26,7 @@ from mhhastar.reeds_shepp import (
     _to_path,
     _verified,
 )
-from mhhastar.vehicle import Gear, step_cost, successors
+from mhhastar.vehicle import Gear, advance_arc, step_cost, successors
 
 
 def world_to_body(vehicle_pose, world_point):
@@ -66,6 +68,20 @@ def rs_candidates(start, goal, turning_radius):
         if elements is not None:
             paths.append(_to_path(elements, length, turning_radius))
     return paths
+
+
+def linear_collision_scan(path, start, geometry, obstacles, spacing=0.1):
+    """Whether the vehicle clears the obstacles along an RS path: every pose,
+    start to end, each arc driven from its own start every `spacing` m and
+    to its end, until the first one that collides."""
+    poses = [start]
+    pose = start
+    for gear, curvature, length in path.segments:
+        steps = max(math.ceil(length / spacing - 1e-9), 1)
+        poses += [advance_arc(pose, gear, curvature, k * spacing) for k in range(1, steps)]
+        pose = advance_arc(pose, gear, curvature, length)
+        poses.append(pose)
+    return not any(vehicle_collides(p, geometry, obstacles) for p in poses)
 
 
 def rectangle_corners(pose, geometry):

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+import mhhastar.geometry
 from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, normalize_angle, vehicle_collides
 from mhhastar.reeds_shepp import RSPath, rs_collision_free, rs_shortest
-from mhhastar.vehicle import Arc, Gear, arc_poses
+from mhhastar.vehicle import Arc, Gear, arc_poses, bisection_order
 
-from oracles import rs_candidates
+from oracles import linear_collision_scan, rectangle_corners, rs_candidates
 
 
 def random_pose(rng, span=10.0):
@@ -195,3 +196,85 @@ class TestCollisionFree:
             if coarse == fine:
                 agreements += 1
         assert agreements >= 198  # collisions grazing a sample boundary are rare
+
+
+def random_word(rng, n_arcs, radius=3.0):
+    """Any word of n_arcs arcs, not only a shortest one; some arcs are
+    shorter than the 0.1 m sample spacing."""
+    arcs = tuple(
+        Arc(rng.choice(list(Gear)), rng.choice((-1.0, 0.0, 1.0)) / radius, rng.uniform(0.03, 4.0))
+        for _ in range(n_arcs)
+    )
+    return RSPath(arcs, sum(arc.length for arc in arcs))
+
+
+class TestBisectionOrderCheck:
+    """rs_collision_free visits the samples in bisection order; the verdict
+    and the poses must be those of a start-to-end scan."""
+
+    CAR = VehicleGeometry(4.7, 2.0, 2.7, 1.0)
+
+    def test_verdict_matches_linear_scan(self):
+        rng = random.Random(108)
+        verdicts = set()
+        for i in range(600):
+            start = random_pose(rng, 3)
+            # the empty word, as between coincident poses, checks the start alone
+            path = random_word(rng, i % 6) if i % 6 else rs_shortest(start, start, 3.0)
+            n_points = rng.choice((0, 1, 3, 20))
+            obstacles = ObstacleSet([(rng.uniform(-12, 12), rng.uniform(-12, 12)) for _ in range(n_points)])
+            want = linear_collision_scan(path, start, self.CAR, obstacles)
+            assert rs_collision_free(path, start, self.CAR, obstacles) == want
+            verdicts.add((len(path.segments), want))
+        assert verdicts == {(n, v) for n in range(6) for v in (False, True)}
+
+    @staticmethod
+    def _inset_corners(pose, geometry):
+        # just inside each corner, toward the rectangle's center
+        corners = rectangle_corners(pose, geometry)
+        cx = sum(x for x, _ in corners) / 4.0
+        cy = sum(y for _, y in corners) / 4.0
+        return [(x + 1e-4 * (cx - x), y + 1e-4 * (cy - y)) for x, y in corners]
+
+    def test_a_single_colliding_sample_is_found(self):
+        # A point just inside one corner of one sample's body, placed so
+        # that no other sample covers it: the first, one in the middle, or
+        # the last. Only a check that visits every sample can see it.
+        rng = random.Random(109)
+        found = {"first": 0, "middle": 0, "last": 0}
+        for i in range(60):
+            start = random_pose(rng, 3)
+            path = random_word(rng, 1 + i % 5)
+            poses = [pose for pose, _ in arc_poses(start, path.segments, 0.1)]
+            n = len(poses)
+            for target in {0, n // 3, n // 2, n - 1}:
+                for point in self._inset_corners(poses[target], self.CAR):
+                    obstacles = ObstacleSet([point])
+                    hits = [k for k, pose in enumerate(poses) if vehicle_collides(pose, self.CAR, obstacles)]
+                    if hits != [target]:
+                        continue
+                    assert not linear_collision_scan(path, start, self.CAR, obstacles)
+                    assert not rs_collision_free(path, start, self.CAR, obstacles)
+                    found["first" if target == 0 else "last" if target == n - 1 else "middle"] += 1
+        assert min(found.values()) >= 20, found
+
+    def test_visits_exactly_the_sampled_poses_in_bisection_order(self, monkeypatch):
+        # With nothing in the way every sample is visited once; each must be
+        # the pose arc_poses yields, bit for bit (repr tells -0.0 from 0.0).
+        visited = []
+
+        def record(pose, geometry, obstacles):
+            visited.append(pose)
+            return False
+
+        monkeypatch.setattr(mhhastar.geometry, "vehicle_collides", record)
+        rng = random.Random(110)
+        starts = [Pose(-0.0, -0.0, -0.0), Pose(0.0, -0.0, math.pi)]
+        for i in range(200):
+            start = starts[i] if i < len(starts) else random_pose(rng, 3)
+            path = random_word(rng, i % 6)
+            visited.clear()
+            assert rs_collision_free(path, start, self.CAR, ObstacleSet([]))
+            samples = [repr(pose) for pose, _ in arc_poses(start, path.segments, 0.1)]
+            order = list(bisection_order(len(samples)))
+            assert [repr(pose) for pose in visited] == [samples[k] for k in order]

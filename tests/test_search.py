@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhhastar import heuristics
+from mhhastar import geometry, heuristics, search
 from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
 from mhhastar.grid import CellKey, discretize
 from mhhastar.scenario import validate
@@ -584,6 +584,36 @@ class TestResultInvariants:
         sc = backward_scenario
         result = planner(sc.start, sc.goal, sc)
         assert result.heuristic_evaluations == len(calls) > 0
+
+    def test_analytic_pose_checks_pinned(self, forward_scenario, backward_scenario, monkeypatch):
+        # rs_collision_free visits its poses in bisection order and stops at
+        # the first hit; a start-to-end scan made 29,896 pose checks in these
+        # four plans. The order cannot change the tries or their verdicts.
+        tally = {"tries": 0, "successes": 0, "pose_checks": 0}
+        inside = []
+        original_check = search.rs_collision_free
+        original_collides = geometry.vehicle_collides
+
+        def check(*args):
+            inside.append(True)
+            try:
+                free = original_check(*args)
+            finally:
+                inside.pop()
+            tally["tries"] += 1
+            tally["successes"] += free
+            return free
+
+        def collides(*args):
+            tally["pose_checks"] += bool(inside)
+            return original_collides(*args)
+
+        monkeypatch.setattr(search, "rs_collision_free", check)
+        monkeypatch.setattr(geometry, "vehicle_collides", collides)
+        for sc in (forward_scenario, backward_scenario):
+            for planner in (mhha_star, hybrid_a_star):
+                planner(sc.start, sc.goal, sc)
+        assert tally == {"tries": 754, "successes": 4, "pose_checks": 2569}
 
     def test_expansion_trace_counts_match(self, benchmark_results):
         for result in benchmark_results.values():

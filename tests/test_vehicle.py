@@ -16,6 +16,7 @@ from mhhastar.vehicle import (
     advance_arc,
     arc_poses,
     arc_steps,
+    bisection_order,
     step_cost,
     successors,
 )
@@ -139,6 +140,19 @@ class TestArcPoses:
     def test_arc_steps_counts_the_poses_after_the_start(self, length):
         poses = list(arc_poses(self.START, [Arc(Gear.REVERSE, 0.2, length)], 0.1))
         assert len(poses) == 1 + arc_steps(length, 0.1)
+
+
+class TestBisectionOrder:
+    def test_is_a_permutation_starting_at_zero(self):
+        assert list(bisection_order(0)) == []
+        for n in range(1, 301):
+            order = list(bisection_order(n))
+            assert order[0] == 0
+            assert sorted(order) == list(range(n)), n
+
+    def test_halves_before_quarters(self):
+        assert list(bisection_order(8)) == [0, 4, 2, 6, 1, 3, 5, 7]
+        assert list(bisection_order(5)) == [0, 2, 1, 3, 4]
 
 
 class TestSuccessors:
