@@ -4,9 +4,10 @@ The vehicle body is a rectangle anchored at the rear-axle midpoint. Collision
 against a point cloud is checked by coordinate transformation: the obstacle
 points near the body center are moved into the vehicle frame and tested
 against the body rectangle exactly. The nearby points come from a memo with
-one entry per MEMO_CELL square of body centers, filled by one range query the
-first time a body center lands in the square; its extra margin makes each
-entry hold every point a query around any center in the square would return.
+one entry per MEMO_CELL square of body centers, filled the first time a body
+center lands in the square from the rows of one range query per block of
+MEMO_BLOCK x MEMO_BLOCK squares; its extra margin makes each entry hold every
+point a query around any center in the square would return.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ TWO_PI = 2.0 * math.pi
 Point = tuple[float, float]
 
 MEMO_CELL = 0.25  # [m] side of the square of body centers one memo entry serves
+MEMO_BLOCK = 4  # memo squares per side of the block one range query fills
+# [m] from a block's center to its farthest square center, plus rounding slack
+_BLOCK_REACH = (MEMO_BLOCK - 1) / 2 * MEMO_CELL * math.sqrt(2.0) + 1e-6
 
 
 def normalize_angle(theta: float) -> float:
@@ -102,6 +106,9 @@ class ObstacleSet:
     the square lies within radius + MEMO_CELL / sqrt(2) of its center, 0.07 m
     inside the entry's disk, so the entry holds every point `query(x, y,
     radius)` returns, plus more. The memo never changes what a check finds.
+    An entry is filtered from the rows of one query per block of squares with
+    the query's own float test, so it holds the points of `query(cx, cy,
+    radius + MEMO_CELL)` around the square's center (cx, cy), in order.
     """
 
     def __init__(self, points):
@@ -111,6 +118,7 @@ class ObstacleSet:
         self._by_x = np.argsort(pts[:, 0])
         self._sorted_x = pts[self._by_x, 0]
         self._memo: dict[tuple[int, int, float], list[list[float]]] = {}
+        self._blocks: dict[tuple[int, int, float], list[list[float]]] = {}
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -138,8 +146,22 @@ class ObstacleSet:
         i, j = math.floor(x / MEMO_CELL), math.floor(y / MEMO_CELL)
         entry = self._memo.get((i, j, radius))
         if entry is None:
+            bi, bj = i // MEMO_BLOCK, j // MEMO_BLOCK
+            rows = self._blocks.get((bi, bj, radius))
+            if rows is None:
+                rows = self._blocks[bi, bj, radius] = self.query(
+                    (bi + 0.5) * MEMO_BLOCK * MEMO_CELL,
+                    (bj + 0.5) * MEMO_BLOCK * MEMO_CELL,
+                    radius + MEMO_CELL + _BLOCK_REACH,
+                ).tolist()
             cx, cy = (i + 0.5) * MEMO_CELL, (j + 0.5) * MEMO_CELL
-            entry = self._memo[i, j, radius] = self.query(cx, cy, radius + MEMO_CELL).T.tolist()
+            r = radius + MEMO_CELL
+            xs, ys = entry = self._memo[i, j, radius] = [[], []]
+            for px, py in rows:
+                dx, dy = px - cx, py - cy
+                if dx * dx + dy * dy <= r * r:
+                    xs.append(px)
+                    ys.append(py)
         return entry
 
 

@@ -3,6 +3,7 @@
 A scenario bundles the workspace grid, the point-cloud obstacles, the vehicle
 description, start/goal poses, and the search configuration. The shipped
 benchmark files cut a parallel-parking spot into the lower boundary wall.
+The obstacles are one float (n, 2) array of wall points, then extra points.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ class Scenario:
     vehicle: VehicleGeometry
     limits: VehicleLimits
     search: SearchConfig = field(default_factory=SearchConfig)
-    extra_points: tuple[tuple[float, float], ...] = ()
+    wall_count: int = 0  # obstacle points before the extra points
+
+    @property
+    def extra_points(self) -> tuple[tuple[float, float], ...]:
+        """The obstacle points after the walls, as float pairs."""
+        return tuple(map(tuple, self.obstacles.points[self.wall_count:].tolist()))
 
 
 def _segment_points(p0, p1, spacing: float) -> list[tuple[float, float]]:
@@ -113,22 +119,22 @@ def build_parallel_parking(
     """Deterministically assemble a scenario: the walls of `spot` (none when
     it is None), then `extra_points`. The one place a Scenario is built.
 
-    The extra points are made float pairs once, the form the Scenario keeps,
-    and the obstacle array is filled from the pairs in one pass."""
-    extra = tuple((float(x), float(y)) for x, y in extra_points)
+    A numpy array of extra points (the loader's output) is used as it is;
+    any other sequence of pairs is made floats once, value by value."""
+    if not isinstance(extra_points, np.ndarray):
+        extra_points = np.array([(float(x), float(y)) for x, y in extra_points]).reshape(-1, 2)
     walls = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING) if spot is not None else []
-    coords = chain.from_iterable(chain(walls, extra))
-    points = np.fromiter(coords, float, 2 * (len(walls) + len(extra))).reshape(-1, 2)
+    wall_points = np.fromiter(chain.from_iterable(walls), float, 2 * len(walls)).reshape(-1, 2)
     return Scenario(
         workspace=workspace,
-        obstacles=ObstacleSet(points),
+        obstacles=ObstacleSet(np.concatenate((wall_points, extra_points))),
         spot=spot,
         start=start,
         goal=goal,
         vehicle=vehicle,
         limits=limits,
         search=search if search is not None else SearchConfig(),
-        extra_points=extra,
+        wall_count=len(walls),
     )
 
 
@@ -168,24 +174,25 @@ def _numbers(value, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-def _points(value, where: str) -> tuple[tuple[float, float], ...]:
-    """[x, y] pairs; a pair of finite floats is taken as it is, anything else
-    goes through `_number`, which names the item on an error."""
+def _points(value, where: str) -> np.ndarray:
+    """[x, y] pairs as an (n, 2) float array. C-level and numpy passes take a
+    list of lists or tuples of two finite floats; any other list goes item by
+    item through `_number`, which names the first bad item."""
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list of [x, y] pairs")
+    if set(map(type, value)) <= {list, tuple} and set(map(len, value)) <= {2}:
+        flat = list(chain.from_iterable(value))
+        if set(map(type, flat)) <= {float}:
+            points = np.fromiter(flat, float, len(flat)).reshape(-1, 2)
+            if np.isfinite(points).all():
+                return points
     out = []
-    isfinite = math.isfinite
     for i, item in enumerate(value):
-        if isinstance(item, (list, tuple)) and len(item) == 2:
-            x, y = item
-            if type(x) is float and type(y) is float and isfinite(x) and isfinite(y):
-                out.append((x, y))
-                continue
         at = f"{where}[{i}]"
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ScenarioError(f"{at}: expected an [x, y] pair")
         out.append((_number(item[0], at), _number(item[1], at)))
-    return tuple(out)
+    return np.array(out, dtype=float).reshape(-1, 2)
 
 
 def _defaults(*classes) -> dict:
@@ -221,7 +228,7 @@ _SCHEMA = {
     "search.penalties": (_defaults(PenaltyConfig), dict.fromkeys(
         ("reverse_mult", "switchback", "steer_hold", "steer_change"), _number
     )),
-    "obstacles": (_defaults(Scenario), {"extra_points": _points}),
+    "obstacles": ({"extra_points": ()}, {"extra_points": _points}),
     "spot": (_defaults(SpotSpec), {"depth": _number, "length": _number, "center_x": _number}),
 }
 _REQUIRED_SECTIONS = ("workspace", "vehicle", "start", "goal")

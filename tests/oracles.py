@@ -8,7 +8,9 @@ and search costs come from a plain uniform-cost loop without heuristics.
 The curve oracle lists every endpoint-valid Reeds-Shepp word, where the
 library's selection verifies only until the shortest one is found. The frame
 transform and rectangle test are the textbook form of the collision check.
-The analytic collision verdict comes from a plain start-to-end scan.
+The analytic collision verdict comes from a plain start-to-end scan. The
+scenario loader's point list is checked item by item, as it was before its
+vectorised fast path.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from mhhastar.reeds_shepp import (
     _to_path,
     _verified,
 )
+from mhhastar.scenario import ScenarioError, _number
 from mhhastar.vehicle import Gear, advance_arc, step_cost, successors
 
 
@@ -82,6 +85,26 @@ def linear_collision_scan(path, start, geometry, obstacles, spacing=0.1):
         pose = advance_arc(pose, gear, curvature, length)
         poses.append(pose)
     return not any(vehicle_collides(p, geometry, obstacles) for p in poses)
+
+
+def points_loop(value, where):
+    """[x, y] pairs as a tuple of float pairs, item by item; a pair of finite
+    floats is taken as it is, anything else goes through `_number`, which
+    names the item on an error."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list of [x, y] pairs")
+    out = []
+    for i, item in enumerate(value):
+        if isinstance(item, (list, tuple)) and len(item) == 2:
+            x, y = item
+            if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
+                out.append((x, y))
+                continue
+        at = f"{where}[{i}]"
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ScenarioError(f"{at}: expected an [x, y] pair")
+        out.append((_number(item[0], at), _number(item[1], at)))
+    return tuple(out)
 
 
 def rectangle_corners(pose, geometry):

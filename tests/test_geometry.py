@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhhastar.geometry import (
+    MEMO_BLOCK,
     MEMO_CELL,
     ObstacleSet,
     Pose,
@@ -15,7 +16,9 @@ from mhhastar.geometry import (
     normalize_angle,
     vehicle_collides,
 )
+from mhhastar.scenario import load_scenario
 
+from conftest import SCENARIOS
 from oracles import point_in_rectangle, polygon_contains, rectangle_corners, world_to_body
 
 CAR = VehicleGeometry(length=4.7, width=2.0, wheelbase=2.7, rear_overhang=1.0)
@@ -232,6 +235,17 @@ def brute_force_collides(pose, geometry, pts):
     return any(point_in_rectangle(world_to_body(pose, p), geometry) for p in pts)
 
 
+def box_outline(cx, cy, w, h, spacing):
+    """Points every `spacing` m or less along an axis-aligned box's edges."""
+    left, right, low, high = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+    corners = [(left, low), (right, low), (right, high), (left, high)]
+    pts = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        n = math.ceil(math.hypot(x1 - x0, y1 - y0) / spacing)
+        pts += [(x0 + (x1 - x0) * k / n, y0 + (y1 - y0) * k / n) for k in range(n)]
+    return pts
+
+
 def poses_in_square(rng, i, j, mid, count):
     """Poses whose body center (at `mid` along the heading) lies in memo square
     (i, j): heading 0 puts the center's y bitwise on the square's lower edge
@@ -331,3 +345,35 @@ class TestCollisionMemo:
                         assert set(map(tuple, obstacles.query(x, y, radius).tolist())) <= held
                 below = obstacles._candidates(math.nextafter(x0, -math.inf), y0, radius)
                 assert below is not entry
+
+    @pytest.mark.parametrize("cloud", ["forward", "backward", "large-lot"])
+    def test_entry_equals_its_own_query(self, cloud):
+        # One range query fills a MEMO_BLOCK x MEMO_BLOCK block of squares;
+        # each square's entry, filtered from the block's rows, holds exactly
+        # the points of a query around the square's own center, in input
+        # order. Every square of the cloud and its margin is read, in a
+        # shuffled order, for the car's radius and a smaller one.
+        if cloud == "large-lot":
+            # rows of parked-car outlines, a point every 0.25 m, around the origin
+            points = np.array([
+                p for cx in np.arange(-18.2, 18.3, 2.6) for cy in (-9.0, -2.6, 2.6, 9.0)
+                for p in box_outline(cx, cy, CAR.width, CAR.length, 0.25)
+            ])
+        else:
+            points = load_scenario(SCENARIOS / f"{cloud}_parking.json").obstacles.points
+        obstacles = ObstacleSet(points)
+        lo = np.floor(points.min(axis=0) / MEMO_CELL).astype(int) - 12
+        hi = np.floor(points.max(axis=0) / MEMO_CELL).astype(int) + 12
+        squares = [(i, j) for i in range(lo[0], hi[0] + 1) for j in range(lo[1], hi[1] + 1)]
+        random.Random(cloud).shuffle(squares)
+        assert {i % MEMO_BLOCK for i, _ in squares} == set(range(MEMO_BLOCK))
+        assert min(i for i, _ in squares) < 0 and min(j for _, j in squares) < 0
+        held = 0
+        for radius in (math.hypot(CAR.length / 2, CAR.width / 2) + 1e-9, 1.1):
+            for i, j in squares:
+                entry = obstacles._candidates(i * MEMO_CELL, j * MEMO_CELL, radius)
+                cx, cy = (i + 0.5) * MEMO_CELL, (j + 0.5) * MEMO_CELL
+                want = obstacles.query(cx, cy, radius + MEMO_CELL).T.tolist()
+                assert entry == want, (i, j, radius)
+                held += len(entry[0])
+        assert held > 0

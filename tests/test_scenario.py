@@ -21,6 +21,7 @@ from mhhastar.scenario import (
     SpotSpec,
     WALL_POINT_SPACING,
     _parking_walls,
+    _points,
     build_parallel_parking,
     load_scenario,
     save_scenario,
@@ -32,6 +33,7 @@ from mhhastar.search import SearchConfig, hybrid_a_star, mhha_star
 from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
 
 from conftest import SCENARIOS as BUNDLED
+from oracles import points_loop
 
 
 NAN = math.nan
@@ -51,6 +53,36 @@ def _spot_at(center_x):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+# Loader inputs: mostly [x, y] pairs of finite floats, as a file holds them,
+# with items of every kind the loop must name mixed in at random places.
+odd_values = st.one_of(
+    st.sampled_from([NAN, INF, -INF, True, False, 10**400, -(10**400), "1.0", None]),
+    st.integers(-(10**20), 10**20),
+    st.floats(width=64).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(max_size=2),
+)
+odd_items = st.one_of(
+    st.tuples(odd_values, finite),
+    st.tuples(finite, odd_values).map(list),
+    st.lists(st.one_of(finite, odd_values, st.floats(width=64)), min_size=2, max_size=2),
+    st.lists(finite, min_size=1, max_size=1),
+    st.tuples(finite, finite, finite),
+    st.sets(finite, min_size=2, max_size=2),
+    st.dictionaries(st.text(max_size=2), finite, min_size=2, max_size=2),
+    odd_values,
+)
+
+
+@st.composite
+def point_lists(draw):
+    pair = st.one_of(st.lists(finite, min_size=2, max_size=2), st.tuples(finite, finite))
+    items = draw(st.lists(pair, max_size=30))
+    for at, item in draw(st.lists(st.tuples(st.integers(0, 30), odd_items), max_size=3)):
+        items.insert(at, item)
+    return items
 
 
 @st.composite
@@ -316,6 +348,17 @@ class TestFiles:
             ([1.0, INF], "obstacles.extra_points[2]: expected a finite number"),
             ([1.0, 2.0, 3.0], "obstacles.extra_points[2]: expected an [x, y] pair"),
             ("ab", "obstacles.extra_points[2]: expected an [x, y] pair"),
+            # a dict built in code may hold tuples, numpy scalars, sets and dicts
+            ((5.0, 6.0), None),
+            ([np.float64(1.5), 2.0], None),
+            ((2.0, np.float32(1.5)), "obstacles.extra_points[2]: expected a number"),
+            ([2.0, "1.0"], "obstacles.extra_points[2]: expected a number"),
+            ((None, 2.0), "obstacles.extra_points[2]: expected a number"),
+            ([10**400, 2.0], "obstacles.extra_points[2]: expected a finite number"),
+            ((2.0, -INF), "obstacles.extra_points[2]: expected a finite number"),
+            ([1.0], "obstacles.extra_points[2]: expected an [x, y] pair"),
+            ({1.0, 2.0}, "obstacles.extra_points[2]: expected an [x, y] pair"),
+            ({"x": 1.0, "y": 2.0}, "obstacles.extra_points[2]: expected an [x, y] pair"),
         ],
     )
     def test_extra_point_messages(self, item, message):
@@ -329,6 +372,50 @@ class TestFiles:
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict(data)
             assert str(err.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=point_lists())
+    def test_points_match_item_loop(self, value):
+        # the fast path and its fallback give the points of the per-item
+        # loop bit for bit, or its ScenarioError message
+        where = "obstacles.extra_points"
+        try:
+            want = np.array(points_loop(value, where), dtype=float).reshape(-1, 2)
+        except ScenarioError as err:
+            with pytest.raises(ScenarioError) as got:
+                _points(value, where)
+            assert str(got.value) == str(err)
+            return
+        points = _points(value, where)
+        assert points.dtype == np.float64 and points.shape == want.shape
+        assert points.tobytes() == want.tobytes()
+        data = _forward_data()
+        data["obstacles"]["extra_points"] = value
+        scenario = scenario_from_dict(data)
+        extra = scenario.extra_points
+        assert type(extra) is tuple
+        assert all(type(p) is tuple and len(p) == 2 for p in extra)
+        assert all(type(v) is float for p in extra for v in p)
+        assert np.array(extra, dtype=float).reshape(-1, 2).tobytes() == want.tobytes()
+        again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+        assert again.obstacles.points.tobytes() == scenario.obstacles.points.tobytes()
+
+    def test_saved_points_load_bit_identical(self, tmp_path):
+        # a large-lot-sized cloud with -0.0, subnormals and full-precision
+        # values survives save and load bit for bit, and saves to the same text
+        rng = np.random.default_rng(7)
+        cloud = rng.uniform(-20.0, 20.0, (9000, 2))
+        cloud[:4] = [[-0.0, 5e-324], [0.1, -0.0], [1e-300, 2.0**-1074], [math.pi, -math.e]]
+        data = _forward_data()
+        data["obstacles"]["extra_points"] = cloud.tolist()
+        scenario = scenario_from_dict(data)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_scenario(scenario, first)
+        loaded = load_scenario(first)
+        assert loaded.obstacles.points.tobytes() == scenario.obstacles.points.tobytes()
+        assert loaded.obstacles.points[loaded.wall_count:].tobytes() == cloud.tobytes()
+        save_scenario(loaded, second)
+        assert second.read_text() == first.read_text()
 
     def test_parse_error_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"

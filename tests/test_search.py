@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mhhastar import geometry, heuristics, search
 from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
 from mhhastar.grid import CellKey, discretize
-from mhhastar.scenario import validate
+from mhhastar.scenario import load_scenario, validate
 from mhhastar.search import (
     OpenList,
     SearchConfig,
@@ -25,7 +25,7 @@ from mhhastar.search import (
 )
 from mhhastar.vehicle import Gear, advance_arc
 
-from conftest import make_coarse_scenario, make_open_scenario
+from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
 
 
 def make_ring(cx, cy, radii=(4.0, 4.15, 4.3), n=720):
@@ -614,6 +614,34 @@ class TestResultInvariants:
             for planner in (mhha_star, hybrid_a_star):
                 planner(sc.start, sc.goal, sc)
         assert tally == {"tries": 754, "successes": 4, "pose_checks": 2569}
+
+    def test_range_queries_pinned(self, monkeypatch):
+        # A memo miss filters its square's points from the rows of one range
+        # query per MEMO_BLOCK x MEMO_BLOCK block of squares; one query per
+        # square made 606/979/488/918 (2,991) in these four plans. Each plan
+        # gets a freshly loaded scenario, so no memo carries over.
+        calls = []
+        original = ObstacleSet.query
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(ObstacleSet, "query", counted)
+        counts = {}
+        for name in ("forward", "backward"):
+            for planner in (mhha_star, hybrid_a_star):
+                sc = load_scenario(SCENARIOS / f"{name}_parking.json")
+                del calls[:]
+                planner(sc.start, sc.goal, sc)
+                counts[name, planner.__name__] = len(calls)
+        assert counts == {
+            ("forward", "mhha_star"): 64,
+            ("forward", "hybrid_a_star"): 93,
+            ("backward", "mhha_star"): 50,
+            ("backward", "hybrid_a_star"): 92,
+        }
+        assert sum(counts.values()) == 299
 
     def test_expansion_trace_counts_match(self, benchmark_results):
         for result in benchmark_results.values():
