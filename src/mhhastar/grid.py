@@ -98,67 +98,89 @@ class DistanceField:
     diagonal moves cell_size * sqrt(2).
 
     The label-setting sweep from the goal runs only as far as reads need:
-    `at` resumes it until the asked cell is settled (Reverse Resumable A*
-    with a zero heuristic, Silver 2005). A settled label is final, so every
-    read equals what a full sweep gives. `values` holds the labels settled
-    so far, +inf elsewhere.
+    `at` resumes it until the asked cell is settled (Reverse Resumable A*,
+    Silver 2005). Cells pop by label + (1 - 1e-9) * octile distance to the
+    start cell. The octile distance is consistent under the same weights, so
+    deflated it raises the key by at least 1e-9 * cell_size per move along
+    any path, far above the rounding of labels and keys while path length /
+    cell_size stays below about 1e6 (a larger grid falls back to a zero
+    heuristic). Keys thus rise strictly along every float-optimal path, each
+    cell's float-optimal predecessor is settled before it, and every label
+    equals, bit for bit, that of a full Dijkstra sweep.
+
+    Tentative and settled labels live in dicts keyed by flat cell index, so
+    a query allocates only for the cells it touches; `values` builds the
+    read-only (nx, ny) array of settled labels, +inf elsewhere, when read.
     """
 
-    def __init__(self, spec: GridSpec, blocked: np.ndarray, goal_cell: tuple[int, int]):
+    def __init__(self, spec: GridSpec, blocked: np.ndarray, goal_cell, start_cell):
         self.spec = spec
         # Cells are flat indices into the grid padded with one ring of blocked
         # cells, so a move needs no bounds test.
-        stride = spec.ny + 2
+        stride = self._stride = spec.ny + 2
         padded = np.ones((spec.nx + 2, stride), dtype=bool)
         padded[1:-1, 1:-1] = blocked
         self._blocked = padded.tobytes()
-        settled = np.full(padded.shape, np.inf)
-        self._flat = settled.reshape(-1)
-        self.values = settled[1:-1, 1:-1]
-        self.values.setflags(write=False)
-        self._stride = stride
-        axis = spec.cell_size
-        diag = spec.cell_size * math.sqrt(2.0)
+        axis, diag = spec.cell_size, spec.cell_size * math.sqrt(2.0)
         self._moves = tuple(
             (dx * stride + dy, diag if dx and dy else axis)
             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
         )
+        # A simple path makes at most nx * ny moves of at most sqrt(2) cells.
+        weight = 1.0 - 1e-9 if math.sqrt(2.0) * spec.nx * spec.ny < 1e6 else 0.0
+        # Octile term of the key: h_axis * (dx + dy) + h_diag * min(dx, dy).
+        self._h = (weight * axis, weight * (diag - 2.0 * axis), start_cell[0] + 1, start_cell[1] + 1)
         goal = (goal_cell[0] + 1) * stride + goal_cell[1] + 1
-        self._best = [math.inf] * len(self._blocked)  # tentative labels
-        self._best[goal] = 0.0
-        self._heap = [(0.0, goal)]
+        self._settled: dict[int, float] = {}
+        self._best = {goal: 0.0}  # tentative labels
+        self._heap = [(0.0, 0.0, goal)]  # (key, label, cell)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only (nx, ny) array of the labels settled so far, +inf elsewhere."""
+        flat = np.full(len(self._blocked), np.inf)
+        flat[list(self._settled)] = list(self._settled.values())
+        out = flat.reshape(-1, self._stride)[1:-1, 1:-1]
+        out.setflags(write=False)
+        return out
 
     def at(self, ix: int, iy: int) -> float:
         """Distance of cell (ix, iy), settling cells until it is settled."""
         k = (ix + 1) * self._stride + iy + 1
-        value = self._flat[k]
-        if value == math.inf and self._heap and not self._blocked[k]:
-            self._settle(k)
-            value = self._flat[k]
-        return float(value)
+        value = self._settled.get(k)
+        if value is None:
+            return math.inf if self._blocked[k] else self._settle(k)
+        return value
 
     def lookup(self, x: float, y: float) -> float:
         return self.at(*self.spec.cell_of(x, y))
 
-    def _settle(self, target: int) -> None:
-        """Resume the sweep until `target` is settled or nothing is left."""
-        heap, best, blocked, flat, moves = (
-            self._heap, self._best, self._blocked, self._flat, self._moves
+    def _settle(self, target: int) -> float:
+        """Resume the sweep until `target` is settled; its label, or +inf
+        once nothing is left."""
+        heap, best, settled, blocked, moves, stride = (
+            self._heap, self._best, self._settled, self._blocked, self._moves, self._stride
         )
+        h_axis, h_diag, sx, sy = self._h
+        inf = math.inf
         while heap:
-            d, k = heapq.heappop(heap)
-            if d > best[k]:
+            _, d, k = heapq.heappop(heap)
+            if k in settled:
                 continue
-            flat[k] = d
+            settled[k] = d
             for step, w in moves:
                 j = k + step
                 if not blocked[j]:
                     nd = d + w
-                    if nd < best[j]:
+                    if nd < best.get(j, inf):
                         best[j] = nd
-                        heapq.heappush(heap, (nd, j))
+                        dx, dy = divmod(j, stride)
+                        dx, dy = abs(dx - sx), abs(dy - sy)
+                        key = nd + h_axis * (dx + dy) + h_diag * (dx if dx < dy else dy)
+                        heapq.heappush(heap, (key, nd, j))
             if k == target:
-                return
+                return d
+        return inf
 
 
 def dijkstra_field(
@@ -168,10 +190,11 @@ def dijkstra_field(
     start_xy: tuple[float, float],
 ) -> DistanceField:
     """The distance field toward the goal cell, settled up to the start
-    cell."""
+    cell, which its sweep heads for."""
     gx, gy = spec.cell_of(*goal_xy)
     if blocked[gx, gy]:
         raise ValueError("goal cell is blocked")
-    field = DistanceField(spec, blocked, (gx, gy))
-    field.lookup(*start_xy)
+    start = spec.cell_of(*start_xy)
+    field = DistanceField(spec, blocked, (gx, gy), start)
+    field.at(*start)
     return field

@@ -2,26 +2,28 @@
 
 Candidates come from the twelve classic closed-form word families, each
 evaluated on four variants of the goal (as is, timeflipped, reflected, both),
-48 words in a normalized frame where the turning radius is 1. Per variant the
-sin/cos of its heading and the two polar terms every family reads,
-(x - sin phi, y - 1 + cos phi) and (x + sin phi, y - 1 - cos phi), are computed
-once. A family returns only its signed segment parameters; a static
-(curvature, gear) pattern per family and variant names the segments, and a
-negative parameter means the same circle driven in the opposite gear.
+48 words in a normalized frame where the turning radius is 1. A word is its
+signed segment parameters; a static (curvature, gear) pattern per family and
+variant names the segments, and a negative parameter means the same circle
+driven in the opposite gear. `_words` evaluates all families in one flat pass
+per variant, which computes the two polar terms every family reads, rho^2,
+acos(rho / 4) and sqrt(rho^2 - 4) once for the families that share them.
 
-Selection builds no segment objects for losing words. A candidate's length is
-the left-to-right sum of |param| over parameters above 1e-12; candidates are
-ranked by a stable sort over enumeration order (family, then variant) and
-endpoint-verified shortest first, so among equal lengths the
-earliest-enumerated word wins. A formula that does not apply fails
-verification and simply drops out.
+A word's length is the left-to-right sum of |param| over parameters above
+1e-12. The answer is the first word in (length, enumeration index) order
+(family by family, then variant) that ends at the goal; a formula that does
+not apply fails that check. Selection screens words by their plain |param|
+sum, which is within five dropped 1e-12 terms and a few ulps of the length,
+and ranks and verifies only those within tol = 1e-9 * (1 + screen minimum)
+of the minimum. Every other word is longer than screen minimum + tol / 2, so
+the first of them to verify within that bound is the answer; failing that,
+all words are ranked and verified.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .geometry import Pose, normalize_angle
 from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_stations, bisection_order
@@ -38,6 +40,8 @@ class RSPath:
 # Verified segment: (length, curvature, gear) in the normalized frame.
 _Element = tuple[float, float, Gear]
 
+_HALF_PI = math.pi / 2.0
+
 
 def _asin(value: float) -> float:
     # Inputs are mathematically within [-1, 1]; clamp rounding overshoot.
@@ -48,146 +52,125 @@ _F = Gear.FORWARD
 _B = Gear.REVERSE
 _L, _S, _R = 1, 0, -1  # curvature signs, as ints so that a reflected 0 stays +0.0
 
-# Each family maps one polar term (rho, theta) and the variant heading phi to
-# its signed segment parameters, or None where the formula does not apply.
-
-
-def _lsl(rho, theta, phi):
-    return theta, rho, normalize_angle(phi - theta)
-
-
-def _lsr(rho, theta, phi):
-    if rho * rho < 4.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0)
-    t = normalize_angle(theta + math.atan2(2.0, u))
-    return t, u, normalize_angle(t - phi)
-
-
-def _lrl(rho, theta, phi):
-    if rho > 4.0:
-        return None
-    a = math.acos(rho / 4.0)
-    t = normalize_angle(theta + math.pi / 2.0 + a)
-    u = normalize_angle(math.pi - 2.0 * a)
-    return t, u, normalize_angle(phi - t - u)
-
-
-def _lrl_rr(rho, theta, phi):
-    if rho > 4.0:
-        return None
-    a = math.acos(rho / 4.0)
-    t = normalize_angle(theta + math.pi / 2.0 + a)
-    u = normalize_angle(math.pi - 2.0 * a)
-    return t, u, normalize_angle(t + u - phi)
-
-
-def _lrl_lr(rho, theta, phi):
-    if rho > 4.0 or rho == 0.0:
-        return None
-    u = math.acos(1.0 - rho * rho / 8.0)
-    a = _asin(2.0 * math.sin(u) / rho)
-    t = normalize_angle(theta + math.pi / 2.0 - a)
-    return t, u, normalize_angle(t - u - phi)
-
-
-def _lrlr_u(rho, theta, phi):
-    if rho > 4.0:
-        return None
-    if rho <= 2.0:
-        a = math.acos((rho + 2.0) / 4.0)
-        t = normalize_angle(theta + math.pi / 2.0 + a)
-        u = normalize_angle(a)
-    else:
-        a = math.acos((rho - 2.0) / 4.0)
-        t = normalize_angle(theta + math.pi / 2.0 - a)
-        u = normalize_angle(math.pi - a)
-    return t, u, u, normalize_angle(phi - t + 2.0 * u)
-
-
-def _lrlr_neg(rho, theta, phi):
-    u1 = (20.0 - rho * rho) / 16.0
-    if rho > 6.0 or not 0.0 <= u1 <= 1.0:
-        return None
-    u = math.acos(u1)
-    if u == 0.0:
-        return None
-    a = _asin(2.0 * math.sin(u) / rho)
-    t = normalize_angle(theta + math.pi / 2.0 + a)
-    return t, u, u, normalize_angle(t - phi)
-
-
-def _lrsl(rho, theta, phi):
-    if rho < 2.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0) - 2.0
-    a = math.atan2(2.0, u + 2.0)
-    t = normalize_angle(theta + math.pi / 2.0 + a)
-    return t, math.pi / 2.0, u, normalize_angle(t - phi + math.pi / 2.0)
-
-
-def _lsrl(rho, theta, phi):
-    if rho < 2.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0) - 2.0
-    a = math.atan2(u + 2.0, 2.0)
-    t = normalize_angle(theta + math.pi / 2.0 - a)
-    return t, u, math.pi / 2.0, normalize_angle(t - phi - math.pi / 2.0)
-
-
-def _lrsr(rho, theta, phi):
-    if rho < 2.0:
-        return None
-    t = normalize_angle(theta + math.pi / 2.0)
-    return t, math.pi / 2.0, rho - 2.0, normalize_angle(phi - t - math.pi / 2.0)
-
-
-def _lslr(rho, theta, phi):
-    if rho < 2.0:
-        return None
-    t = normalize_angle(theta)
-    return t, rho - 2.0, math.pi / 2.0, normalize_angle(phi - t - math.pi / 2.0)
-
-
-def _lrslr(rho, theta, phi):
-    if rho < 4.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0) - 4.0
-    if u < 0.0:
-        return None
-    a = math.atan2(2.0, u + 4.0)
-    t = normalize_angle(theta + math.pi / 2.0 + a)
-    return t, math.pi / 2.0, u, math.pi / 2.0, normalize_angle(t - phi)
-
-
-def _variant_patterns(word):
-    """Per variant (as is, timeflip, reflect, both): (curvature, gear for a
-    nonnegative param, gear for a negative param) of every segment."""
-    return tuple(
-        tuple((float(turn_sign * t), Gear(gear_sign * g), Gear(-gear_sign * g)) for t, g in word)
-        for turn_sign, gear_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    )
-
-
-# (family, reads (x + sin phi, y - 1 - cos phi) rather than
-# (x - sin phi, y - 1 + cos phi), per-variant segment patterns)
-_FAMILIES = tuple(
-    (family, plus, _variant_patterns(word))
-    for family, plus, word in (
-        (_lsl, False, ((_L, _F), (_S, _F), (_L, _F))),
-        (_lsr, True, ((_L, _F), (_S, _F), (_R, _F))),
-        (_lrl, False, ((_L, _F), (_R, _B), (_L, _F))),
-        (_lrl_rr, False, ((_L, _F), (_R, _B), (_L, _B))),
-        (_lrl_lr, False, ((_L, _F), (_R, _F), (_L, _B))),
-        (_lrlr_u, True, ((_L, _F), (_R, _F), (_L, _B), (_R, _B))),
-        (_lrlr_neg, True, ((_L, _F), (_R, _B), (_L, _B), (_R, _F))),
-        (_lrsl, False, ((_L, _F), (_R, _B), (_S, _B), (_L, _B))),
-        (_lsrl, False, ((_L, _F), (_S, _F), (_R, _F), (_L, _B))),
-        (_lrsr, True, ((_L, _F), (_R, _B), (_S, _B), (_R, _B))),
-        (_lslr, True, ((_L, _F), (_S, _F), (_L, _F), (_R, _B))),
-        (_lrslr, True, ((_L, _F), (_R, _B), (_S, _B), (_L, _B), (_R, _F))),
-    )
+# Segment letters of each family, in enumeration order.
+_FAMILY_WORDS = (
+    ((_L, _F), (_S, _F), (_L, _F)),  # LSL
+    ((_L, _F), (_S, _F), (_R, _F)),  # LSR
+    ((_L, _F), (_R, _B), (_L, _F)),  # L|R|L
+    ((_L, _F), (_R, _B), (_L, _B)),  # L|RL
+    ((_L, _F), (_R, _F), (_L, _B)),  # LR|L
+    ((_L, _F), (_R, _F), (_L, _B), (_R, _B)),  # LRu|LuR
+    ((_L, _F), (_R, _B), (_L, _B), (_R, _F)),  # L|RuLu|R
+    ((_L, _F), (_R, _B), (_S, _B), (_L, _B)),  # L|R(pi/2)SL
+    ((_L, _F), (_S, _F), (_R, _F), (_L, _B)),  # LSR(pi/2)|L
+    ((_L, _F), (_R, _B), (_S, _B), (_R, _B)),  # L|R(pi/2)SR
+    ((_L, _F), (_S, _F), (_L, _F), (_R, _B)),  # LSL(pi/2)|R
+    ((_L, _F), (_R, _B), (_S, _B), (_L, _B), (_R, _F)),  # L|R(pi/2)SL(pi/2)|R
 )
+
+# Per word, by enumeration index 4 * family + variant (as is, timeflip,
+# reflect, both): (curvature, gear for a nonnegative param, gear for a
+# negative param) of every segment.
+_PATTERNS = tuple(
+    tuple((float(turn_sign * t), Gear(gear_sign * g), Gear(-gear_sign * g)) for t, g in word)
+    for word in _FAMILY_WORDS
+    for turn_sign, gear_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+)
+
+
+def _words(x: float, y: float, phi: float) -> list:
+    """(plain |param| sum, enumeration index, params) of every word whose
+    formula applies, variant by variant."""
+    s, c = math.sin(phi), math.cos(phi)
+    s_neg, c_neg = math.sin(-phi), math.cos(-phi)
+    N = normalize_angle
+    words = []
+    add = words.append
+    for v, (vx, vy, vphi, vs, vc) in enumerate(
+        ((x, y, phi, s, c), (-x, y, -phi, s_neg, c_neg), (x, -y, -phi, s_neg, c_neg), (-x, -y, phi, s, c))
+    ):
+        # Families on (x - sin phi, y - 1 + cos phi).
+        mx, my = vx - vs, vy - 1.0 + vc
+        rho, th = math.hypot(mx, my), math.atan2(my, mx)
+        r2 = rho * rho
+        w = N(vphi - th)
+        add((abs(th) + rho + abs(w), v, (th, rho, w)))  # LSL
+        if rho <= 4.0:
+            # acos lies in [0, pi], where normalize_angle is the identity.
+            a = math.acos(rho / 4.0)
+            t = N(th + _HALF_PI + a)
+            u = math.pi - 2.0 * a
+            plain = abs(t) + u
+            w = N(vphi - t - u)
+            add((plain + abs(w), 8 + v, (t, u, w)))  # L|R|L
+            w = N(t + u - vphi)
+            add((plain + abs(w), 12 + v, (t, u, w)))  # L|RL
+            if rho != 0.0:
+                u = math.acos(1.0 - r2 / 8.0)
+                t = N(th + _HALF_PI - _asin(2.0 * math.sin(u) / rho))
+                w = N(t - u - vphi)
+                add((abs(t) + abs(u) + abs(w), 16 + v, (t, u, w)))  # LR|L
+        if rho >= 2.0:
+            q = math.sqrt(r2 - 4.0) - 2.0
+            t = N(th + _HALF_PI + math.atan2(2.0, q + 2.0))
+            w = N(t - vphi + _HALF_PI)
+            add((abs(t) + _HALF_PI + abs(q) + abs(w), 28 + v, (t, _HALF_PI, q, w)))  # L|R(pi/2)SL
+            t = N(th + _HALF_PI - math.atan2(q + 2.0, 2.0))
+            w = N(t - vphi - _HALF_PI)
+            add((abs(t) + abs(q) + _HALF_PI + abs(w), 32 + v, (t, q, _HALF_PI, w)))  # LSR(pi/2)|L
+
+        # Families on (x + sin phi, y - 1 - cos phi).
+        px, py = vx + vs, vy - 1.0 - vc
+        rho, th = math.hypot(px, py), math.atan2(py, px)
+        r2 = rho * rho
+        if r2 >= 4.0:
+            root = math.sqrt(r2 - 4.0)
+            t = N(th + math.atan2(2.0, root))
+            w = N(t - vphi)
+            add((abs(t) + root + abs(w), 4 + v, (t, root, w)))  # LSR
+        if rho <= 4.0:
+            if rho <= 2.0:
+                a = math.acos((rho + 2.0) / 4.0)
+                t = N(th + _HALF_PI + a)
+                u = a
+            else:
+                a = math.acos((rho - 2.0) / 4.0)
+                t = N(th + _HALF_PI - a)
+                u = math.pi - a
+            w = N(vphi - t + 2.0 * u)
+            add((abs(t) + 2.0 * u + abs(w), 20 + v, (t, u, u, w)))  # LRu|LuR
+        u1 = (20.0 - r2) / 16.0
+        if rho <= 6.0 and 0.0 <= u1 <= 1.0:
+            u = math.acos(u1)
+            if u != 0.0:
+                t = N(th + _HALF_PI + _asin(2.0 * math.sin(u) / rho))
+                w = N(t - vphi)
+                add((abs(t) + 2.0 * u + abs(w), 24 + v, (t, u, u, w)))  # L|RuLu|R
+        if rho >= 2.0:
+            q = rho - 2.0
+            t = N(th + _HALF_PI)
+            w = N(vphi - t - _HALF_PI)
+            add((abs(t) + _HALF_PI + q + abs(w), 36 + v, (t, _HALF_PI, q, w)))  # L|R(pi/2)SR
+            t = N(th)
+            w = N(vphi - t - _HALF_PI)
+            add((abs(t) + q + _HALF_PI + abs(w), 40 + v, (t, q, _HALF_PI, w)))  # LSL(pi/2)|R
+            if rho >= 4.0 and root >= 4.0:  # L|R(pi/2)SL(pi/2)|R
+                q = root - 4.0
+                t = N(th + _HALF_PI + math.atan2(2.0, q + 4.0))
+                w = N(t - vphi)
+                add((abs(t) + math.pi + q + abs(w), 44 + v, (t, _HALF_PI, q, _HALF_PI, w)))
+    return words
+
+
+def _length(params) -> float:
+    """Left-to-right sum of |p| over the parameters above 1e-12."""
+    length = 0.0
+    for p in params:  # adds |p|, bit for bit, without an abs() call
+        if p > 1e-12:
+            length += p
+        elif p < -1e-12:
+            length -= p
+    return length
 
 
 def _advance_unit(x, y, theta, element: _Element):
@@ -229,43 +212,6 @@ def _coincident(x: float, y: float, phi: float) -> bool:
     return abs(x) < 1e-12 and abs(y) < 1e-12 and abs(phi) < 1e-12
 
 
-def _raw_candidates(x: float, y: float, phi: float) -> list:
-    """Unverified (length, params, pattern) of every family/variant word with
-    a segment above 1e-12, in enumeration order."""
-    s, c = math.sin(phi), math.cos(phi)
-    s_neg, c_neg = math.sin(-phi), math.cos(-phi)
-    variants = []
-    for vx, vy, vphi, vs, vc in (
-        (x, y, phi, s, c),
-        (-x, y, -phi, s_neg, c_neg),
-        (x, -y, -phi, s_neg, c_neg),
-        (-x, -y, phi, s, c),
-    ):
-        mx, my = vx - vs, vy - 1.0 + vc
-        px, py = vx + vs, vy - 1.0 - vc
-        variants.append(
-            (
-                (math.hypot(mx, my), math.atan2(my, mx), vphi),
-                (math.hypot(px, py), math.atan2(py, px), vphi),
-            )
-        )
-    candidates = []
-    for family, plus, patterns in _FAMILIES:
-        for terms, pattern in zip(variants, patterns):
-            params = family(*terms[plus])
-            if params is None:
-                continue
-            length = 0.0
-            for p in params:  # adds |p|, bit for bit, without an abs() call
-                if p > 1e-12:
-                    length += p
-                elif p < -1e-12:
-                    length -= p
-            if length:
-                candidates.append((length, params, pattern))
-    return candidates
-
-
 def _verified(params, pattern, x: float, y: float, phi: float) -> list[_Element] | None:
     """The word's elements if it ends at (x, y, phi), else None."""
     elements = [
@@ -283,6 +229,17 @@ def _to_path(elements: list[_Element], length: float, turning_radius: float) -> 
     return RSPath(segments, length * turning_radius)
 
 
+def _select(words, x: float, y: float, phi: float):
+    """(length, elements) of the first word of nonzero length, in (length,
+    enumeration index) order, that ends at (x, y, phi); None if none does."""
+    for length, i, params in sorted((_length(params), i, params) for _, i, params in words):
+        if length:
+            elements = _verified(params, _PATTERNS[i], x, y, phi)
+            if elements is not None:
+                return length, elements
+    return None
+
+
 def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
     """Minimum-length candidate; ties keep the earliest-enumerated word."""
     if turning_radius <= 0.0:
@@ -290,16 +247,15 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
     x, y, phi = _normalized_goal(start, goal, turning_radius)
     if _coincident(x, y, phi):
         return RSPath((), 0.0)
-    # Verify lazily, shortest first; the stable sort preserves enumeration
-    # order among equal lengths.
-    candidates = _raw_candidates(x, y, phi)
-    candidates.sort(key=itemgetter(0))
-    for length, params, pattern in candidates:
-        elements = _verified(params, pattern, x, y, phi)
-        if elements is not None:
-            return _to_path(elements, length, turning_radius)
-    # Coincident poses: the empty word.
-    return RSPath((), 0.0)
+    words = _words(x, y, phi)
+    screen = min(words)[0]
+    tol = 1e-9 * (1.0 + screen)
+    best = _select([word for word in words if word[0] <= screen + tol], x, y, phi)
+    if best is None or best[0] > screen + tol / 2.0:
+        best = _select(words, x, y, phi)
+    if best is None:  # no word ends at the goal: the empty word
+        return RSPath((), 0.0)
+    return _to_path(best[1], best[0], turning_radius)
 
 
 def rs_collision_free(path: RSPath, start: Pose, geometry, obstacles) -> bool:

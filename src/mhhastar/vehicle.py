@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .geometry import Pose, normalize_angle
+from .geometry import Pose
 
 SAMPLE_SPACING = 0.1  # [m] arc length between the poses of a returned or checked path
 
@@ -97,7 +97,7 @@ def advance_arc(start: Pose, gear: Gear, curvature: float, ds: float) -> Pose:
     return Pose(
         start.x + sigma * chord * math.cos(mid),
         start.y + sigma * chord * math.sin(mid),
-        normalize_angle(start.theta + alpha),
+        start.theta + alpha,  # Pose wraps it to (-pi, pi]
     )
 
 

@@ -5,8 +5,9 @@ quantity it checks: containment uses half-plane tests instead of the frame
 transform, kinematics uses a Runge-Kutta integrator instead of the closed
 form, grid distances use Bellman-Ford relaxation instead of the heap sweep,
 and search costs come from a plain uniform-cost loop without heuristics.
-The curve oracle lists every endpoint-valid Reeds-Shepp word, where the
-library's selection verifies only until the shortest one is found. The frame
+The curve oracle evaluates the twelve word families one function at a time
+and lists every endpoint-valid word, where the library screens the words of
+one flat pass and verifies only until the shortest one is found. The frame
 transform and rectangle test are the textbook form of the collision check.
 The analytic collision verdict comes from a plain start-to-end scan. The
 scenario loader's point list is checked item by item, as it was before its
@@ -18,13 +19,13 @@ from __future__ import annotations
 import heapq
 import math
 
-from mhhastar.geometry import vehicle_collides
+from mhhastar.geometry import normalize_angle, vehicle_collides
 from mhhastar.grid import CellKey
 from mhhastar.reeds_shepp import (
     RSPath,
+    _asin,
     _coincident,
     _normalized_goal,
-    _raw_candidates,
     _to_path,
     _verified,
 )
@@ -58,6 +59,191 @@ def cell_center(spec, ix, iy):
         spec.x_min + (ix + 0.5) * spec.cell_size,
         spec.y_min + (iy + 0.5) * spec.cell_size,
     )
+
+
+# The twelve classic Reeds-Shepp word families, one function each, as the
+# library evaluated them before its flat one-pass enumeration. Each maps one
+# polar term (rho, theta) and the variant heading phi to its signed segment
+# parameters, or None where the formula does not apply.
+
+_F = Gear.FORWARD
+_B = Gear.REVERSE
+_L, _S, _R = 1, 0, -1  # curvature signs, as ints so that a reflected 0 stays +0.0
+
+
+def _lsl(rho, theta, phi):
+    return theta, rho, normalize_angle(phi - theta)
+
+
+def _lsr(rho, theta, phi):
+    if rho * rho < 4.0:
+        return None
+    u = math.sqrt(rho * rho - 4.0)
+    t = normalize_angle(theta + math.atan2(2.0, u))
+    return t, u, normalize_angle(t - phi)
+
+
+def _lrl(rho, theta, phi):
+    if rho > 4.0:
+        return None
+    a = math.acos(rho / 4.0)
+    t = normalize_angle(theta + math.pi / 2.0 + a)
+    u = normalize_angle(math.pi - 2.0 * a)
+    return t, u, normalize_angle(phi - t - u)
+
+
+def _lrl_rr(rho, theta, phi):
+    if rho > 4.0:
+        return None
+    a = math.acos(rho / 4.0)
+    t = normalize_angle(theta + math.pi / 2.0 + a)
+    u = normalize_angle(math.pi - 2.0 * a)
+    return t, u, normalize_angle(t + u - phi)
+
+
+def _lrl_lr(rho, theta, phi):
+    if rho > 4.0 or rho == 0.0:
+        return None
+    u = math.acos(1.0 - rho * rho / 8.0)
+    a = _asin(2.0 * math.sin(u) / rho)
+    t = normalize_angle(theta + math.pi / 2.0 - a)
+    return t, u, normalize_angle(t - u - phi)
+
+
+def _lrlr_u(rho, theta, phi):
+    if rho > 4.0:
+        return None
+    if rho <= 2.0:
+        a = math.acos((rho + 2.0) / 4.0)
+        t = normalize_angle(theta + math.pi / 2.0 + a)
+        u = normalize_angle(a)
+    else:
+        a = math.acos((rho - 2.0) / 4.0)
+        t = normalize_angle(theta + math.pi / 2.0 - a)
+        u = normalize_angle(math.pi - a)
+    return t, u, u, normalize_angle(phi - t + 2.0 * u)
+
+
+def _lrlr_neg(rho, theta, phi):
+    u1 = (20.0 - rho * rho) / 16.0
+    if rho > 6.0 or not 0.0 <= u1 <= 1.0:
+        return None
+    u = math.acos(u1)
+    if u == 0.0:
+        return None
+    a = _asin(2.0 * math.sin(u) / rho)
+    t = normalize_angle(theta + math.pi / 2.0 + a)
+    return t, u, u, normalize_angle(t - phi)
+
+
+def _lrsl(rho, theta, phi):
+    if rho < 2.0:
+        return None
+    u = math.sqrt(rho * rho - 4.0) - 2.0
+    a = math.atan2(2.0, u + 2.0)
+    t = normalize_angle(theta + math.pi / 2.0 + a)
+    return t, math.pi / 2.0, u, normalize_angle(t - phi + math.pi / 2.0)
+
+
+def _lsrl(rho, theta, phi):
+    if rho < 2.0:
+        return None
+    u = math.sqrt(rho * rho - 4.0) - 2.0
+    a = math.atan2(u + 2.0, 2.0)
+    t = normalize_angle(theta + math.pi / 2.0 - a)
+    return t, u, math.pi / 2.0, normalize_angle(t - phi - math.pi / 2.0)
+
+
+def _lrsr(rho, theta, phi):
+    if rho < 2.0:
+        return None
+    t = normalize_angle(theta + math.pi / 2.0)
+    return t, math.pi / 2.0, rho - 2.0, normalize_angle(phi - t - math.pi / 2.0)
+
+
+def _lslr(rho, theta, phi):
+    if rho < 2.0:
+        return None
+    t = normalize_angle(theta)
+    return t, rho - 2.0, math.pi / 2.0, normalize_angle(phi - t - math.pi / 2.0)
+
+
+def _lrslr(rho, theta, phi):
+    if rho < 4.0:
+        return None
+    u = math.sqrt(rho * rho - 4.0) - 4.0
+    if u < 0.0:
+        return None
+    a = math.atan2(2.0, u + 4.0)
+    t = normalize_angle(theta + math.pi / 2.0 + a)
+    return t, math.pi / 2.0, u, math.pi / 2.0, normalize_angle(t - phi)
+
+
+def _variant_patterns(word):
+    """Per variant (as is, timeflip, reflect, both): (curvature, gear for a
+    nonnegative param, gear for a negative param) of every segment."""
+    return tuple(
+        tuple((float(turn_sign * t), Gear(gear_sign * g), Gear(-gear_sign * g)) for t, g in word)
+        for turn_sign, gear_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    )
+
+
+# (family, reads (x + sin phi, y - 1 - cos phi) rather than
+# (x - sin phi, y - 1 + cos phi), per-variant segment patterns)
+_FAMILIES = tuple(
+    (family, plus, _variant_patterns(word))
+    for family, plus, word in (
+        (_lsl, False, ((_L, _F), (_S, _F), (_L, _F))),
+        (_lsr, True, ((_L, _F), (_S, _F), (_R, _F))),
+        (_lrl, False, ((_L, _F), (_R, _B), (_L, _F))),
+        (_lrl_rr, False, ((_L, _F), (_R, _B), (_L, _B))),
+        (_lrl_lr, False, ((_L, _F), (_R, _F), (_L, _B))),
+        (_lrlr_u, True, ((_L, _F), (_R, _F), (_L, _B), (_R, _B))),
+        (_lrlr_neg, True, ((_L, _F), (_R, _B), (_L, _B), (_R, _F))),
+        (_lrsl, False, ((_L, _F), (_R, _B), (_S, _B), (_L, _B))),
+        (_lsrl, False, ((_L, _F), (_S, _F), (_R, _F), (_L, _B))),
+        (_lrsr, True, ((_L, _F), (_R, _B), (_S, _B), (_R, _B))),
+        (_lslr, True, ((_L, _F), (_S, _F), (_L, _F), (_R, _B))),
+        (_lrslr, True, ((_L, _F), (_R, _B), (_S, _B), (_L, _B), (_R, _F))),
+    )
+)
+
+
+def _raw_candidates(x: float, y: float, phi: float) -> list:
+    """Unverified (length, params, pattern) of every family/variant word with
+    a segment above 1e-12, in enumeration order."""
+    s, c = math.sin(phi), math.cos(phi)
+    s_neg, c_neg = math.sin(-phi), math.cos(-phi)
+    variants = []
+    for vx, vy, vphi, vs, vc in (
+        (x, y, phi, s, c),
+        (-x, y, -phi, s_neg, c_neg),
+        (x, -y, -phi, s_neg, c_neg),
+        (-x, -y, phi, s, c),
+    ):
+        mx, my = vx - vs, vy - 1.0 + vc
+        px, py = vx + vs, vy - 1.0 - vc
+        variants.append(
+            (
+                (math.hypot(mx, my), math.atan2(my, mx), vphi),
+                (math.hypot(px, py), math.atan2(py, px), vphi),
+            )
+        )
+    candidates = []
+    for family, plus, patterns in _FAMILIES:
+        for terms, pattern in zip(variants, patterns):
+            params = family(*terms[plus])
+            if params is None:
+                continue
+            length = 0.0
+            for p in params:  # adds |p|, bit for bit, without an abs() call
+                if p > 1e-12:
+                    length += p
+                elif p < -1e-12:
+                    length -= p
+            if length:
+                candidates.append((length, params, pattern))
+    return candidates
 
 
 def rs_candidates(start, goal, turning_radius):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhhastar.geometry import ObstacleSet, Pose
 from mhhastar.grid import (
@@ -243,6 +245,70 @@ class TestLazyField:
         field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (60.1, 20.1), (60.1, 20.1))
         assert field.lookup(63.1, 20.1) == pytest.approx(3.0)
         assert np.isfinite(field.values).sum() < 0.02 * spec.nx * spec.ny
+
+
+@st.composite
+def field_cases(draw):
+    """(spec, mask, goal cell, start cell, reads): a random mask or a
+    serpentine corridor, cells from 0.01 m up, a free goal, and a start that
+    may be the goal, blocked, or walled off."""
+    cell = draw(st.sampled_from((0.01, 0.05, 0.3, 1.0)) | st.floats(0.01, 3.0))
+    if draw(st.booleans()):
+        nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        fill = draw(st.sampled_from((0.0, 0.2, 0.4)))
+        bits = draw(st.lists(st.floats(0.0, 1.0), min_size=nx * ny, max_size=nx * ny))
+        mask = np.array(bits).reshape(nx, ny) < fill
+    else:
+        # every odd column a wall with one gap, at the top and the bottom in
+        # turn: a single corridor of about nx * ny / 2 cells
+        nx, ny = draw(st.integers(3, 25)), draw(st.integers(2, 25))
+        mask = np.zeros((nx, ny), dtype=bool)
+        for ix in range(1, nx, 2):
+            mask[ix, :] = True
+            mask[ix, ny - 1 if ix % 4 == 1 else 0] = False
+    cells = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    goal = draw(cells)
+    mask[goal] = False
+    start = draw(cells)
+    if start != goal and draw(st.booleans()):
+        mask[start] = True
+    elif draw(st.booleans()):
+        sx, sy = start
+        for ix in range(max(0, sx - 1), min(nx, sx + 2)):
+            for iy in range(max(0, sy - 1), min(ny, sy + 2)):
+                if (ix, iy) not in (start, goal):
+                    mask[ix, iy] = True
+    spec = GridSpec(0.0, nx * cell, 0.0, ny * cell, cell_size=cell, heading_bins=8)
+    reads = draw(st.lists(cells, max_size=3 * nx * ny))
+    return spec, mask, goal, start, reads
+
+
+class TestGoalDirectedField:
+    @settings(max_examples=300, deadline=None)
+    @given(field_cases())
+    def test_every_read_equals_bellman_ford(self, case):
+        spec, mask, goal, start, reads = case
+        assert (spec.nx, spec.ny) == mask.shape
+        field = dijkstra_field(spec, mask, cell_center(spec, *goal), cell_center(spec, *start))
+        expected = bellman_ford_field(spec.nx, spec.ny, mask.tolist(), goal, spec.cell_size)
+        for ix, iy in reads:
+            assert field.at(ix, iy) == expected[ix][iy], (ix, iy)
+        values = field.values
+        assert not values.flags.writeable
+        for ix, iy in zip(*np.nonzero(np.isfinite(values))):
+            assert values[ix, iy] == field.at(ix, iy) == expected[ix][iy]
+        for ix, iy in [start, *reads]:
+            if not math.isinf(expected[ix][iy]):
+                assert values[ix, iy] == expected[ix][iy]
+
+    def test_sweep_heads_for_the_start(self):
+        # On an empty grid only the cells on the straight line from the goal
+        # to the start have label + octile distance to the start equal to the
+        # goal-start distance; every other cell pops later, after the start.
+        spec = GridSpec(0, 120, 0, 40.2, cell_size=0.3, heading_bins=8)
+        field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (60.1, 20.1), (70.0, 20.1))
+        assert field.lookup(70.0, 20.1) == pytest.approx(33 * 0.3)
+        assert np.isfinite(field.values).sum() <= 34
 
 
 class TestFieldLookup:

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 
 import mhhastar.geometry
+from mhhastar import reeds_shepp
 from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, normalize_angle, vehicle_collides
 from mhhastar.reeds_shepp import RSPath, rs_collision_free, rs_shortest
 from mhhastar.vehicle import Arc, Gear, arc_poses, bisection_order
@@ -278,3 +280,74 @@ class TestBisectionOrderCheck:
             samples = [repr(pose) for pose, _ in arc_poses(start, path.segments, 0.1)]
             order = list(bisection_order(len(samples)))
             assert [repr(pose) for pose in visited] == [samples[k] for k in order]
+
+
+def bit_identity_cases():
+    """21,000 seeded (start, goal, radius) triples: random pairs, lattice
+    pairs where distinct words tie, near-coincident pairs, and goals whose
+    polar term lies on or within 1e-15..1e-6 of the family bounds rho = 2, 4,
+    sqrt(20) and 6."""
+    rng = random.Random(2005)
+    cases = []
+    for _ in range(6000):
+        cases.append((random_pose(rng), random_pose(rng), rng.uniform(0.5, 4.0)))
+    for _ in range(6000):
+        cases.append((lattice_pose(rng), lattice_pose(rng), rng.choice((0.5, 1.0, 2.0, 4.0))))
+    for _ in range(3000):
+        a = random_pose(rng)
+        d = [rng.choice((0.0, 1.0, -1.0)) * 10.0 ** rng.uniform(-15.0, -6.0) for _ in range(3)]
+        cases.append((a, Pose(a.x + d[0], a.y + d[1], a.theta + d[2]), rng.uniform(0.5, 4.0)))
+    offsets = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+    for _ in range(6000):
+        r = rng.choice((2.0, 4.0, 6.0, math.sqrt(20.0))) + rng.choice(offsets)
+        phi = rng.uniform(-math.pi, math.pi)
+        alpha = rng.uniform(-math.pi, math.pi)
+        # a goal whose (x - sin phi, y - 1 + cos phi) or (x + sin phi,
+        # y - 1 - cos phi) term has length r
+        if rng.random() < 0.5:
+            x, y = math.sin(phi) + r * math.cos(alpha), 1.0 - math.cos(phi) + r * math.sin(alpha)
+        else:
+            x, y = -math.sin(phi) + r * math.cos(alpha), 1.0 + math.cos(phi) + r * math.sin(alpha)
+        radius = rng.choice((0.5, 1.0, 2.0))
+        cases.append((Pose(0.0, 0.0, 0.0), Pose(x * radius, y * radius, phi), radius))
+    return cases
+
+
+class TestBitIdentity:
+    # sha256 over repr(rs_shortest(a, b, radius)) + "\n" for every case, as
+    # the family-by-family enumeration with a full stable sort computed it.
+    DIGEST = "22f36c2b0f877aa425ee6ca811a78e8ea71600efe14ef52b3483a83391743ba3"
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        for a, b, radius in bit_identity_cases():
+            digest.update(repr(rs_shortest(a, b, radius)).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_full_sort_when_no_screened_word_verifies(self, monkeypatch):
+        # Every word within 1e-6 of the shortest fails verification, so no
+        # screened word verifies and the branch that ranks all words runs.
+        # The answer must be the oracle's first shortest among the rest.
+        # Power-of-two radii keep lengths exact in both frames.
+        real = reeds_shepp._verified
+        rng = random.Random(112)
+        checked = 0
+        for i in range(400):
+            a, b = (lattice_pose(rng), lattice_pose(rng)) if i % 2 else (random_pose(rng), random_pose(rng))
+            radius = rng.choice((0.5, 1.0, 2.0, 4.0))
+            candidates = rs_candidates(a, b, radius)
+            cut = min(c.total_length for c in candidates) / radius + 1e-6
+            rest = [c for c in candidates if c.total_length / radius > cut]
+            if not rest:
+                continue
+
+            def reject_near_shortest(params, pattern, x, y, phi, cut=cut):
+                if sum(abs(p) for p in params if abs(p) > 1e-12) <= cut:
+                    return None
+                return real(params, pattern, x, y, phi)
+
+            monkeypatch.setattr(reeds_shepp, "_verified", reject_near_shortest)
+            assert rs_shortest(a, b, radius) == min(rest, key=lambda c: c.total_length)
+            monkeypatch.setattr(reeds_shepp, "_verified", real)
+            checked += 1
+        assert checked > 300

@@ -26,6 +26,7 @@ from mhhastar.search import (
 from mhhastar.vehicle import Gear, advance_arc
 
 from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
+from oracles import rectangle_corners
 
 
 def make_ring(cx, cy, radii=(4.0, 4.15, 4.3), n=720):
@@ -430,6 +431,42 @@ class TestExpandNode:
         s.expand_node(rev)
         assert [n for n in s.nodes.values() if n.cell == start.cell] == [start]
         assert start.g == 0.0 and start.bp is None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1 (sound swept collision checks): expand_node checks a "
+        "primitive only at its midpoint and end pose",
+    )
+    def test_body_sweeping_through_a_point_rejects_the_successor(self):
+        # Full-lock left, forward: the front-right corner lies farthest from
+        # the turning center, so just inside it at 3/4 of the step sits a
+        # point that only poses near 3/4 of the step cover.
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        geometry, wheelbase = sc.vehicle, sc.vehicle.wheelbase
+        arc = sc.search.primitives.arc_length
+        steer = max(sc.search.primitives.steering_angles)
+        curvature = math.tan(steer) / wheelbase
+        start, mid, between, end = (
+            advance_arc(sc.start, Gear.FORWARD, curvature, f * arc) for f in (0.0, 0.5, 0.75, 1.0)
+        )
+        corners = rectangle_corners(between, geometry)
+        cx = sum(x for x, _ in corners) / 4.0
+        cy = sum(y for _, y in corners) / 4.0
+        x, y = corners[1]  # front right
+        point = (x + 1e-4 * (cx - x), y + 1e-4 * (cy - y))
+        obstacles = ObstacleSet([point])
+        assert [vehicle_collides(p, geometry, obstacles) for p in (start, mid, between, end)] == [
+            False, False, True, False
+        ]
+
+        sc = make_open_scenario(sc.start, sc.goal, [point])
+        s, node = make_searcher(sc)
+        s.expand_node(node)
+        accepted = [
+            n for n in s.nodes.values()
+            if n.bp is node and n.gear is Gear.FORWARD and n.steering == steer
+        ]
+        assert accepted == [], "expand_node accepted a primitive whose body sweeps through a point"
 
 
 class TestGoalNode:
