@@ -34,8 +34,8 @@ from .vehicle import (
     Arc,
     Gear,
     MotionPrimitiveSet,
-    MotionStep,
     PenaltyConfig,
+    Primitive,
     VehicleLimits,
     arc_poses,
     step_cost,

@@ -94,8 +94,9 @@ def build_occupancy(spec: GridSpec, obstacles: ObstacleSet) -> np.ndarray:
 
 class DistanceField:
     """Per-cell 8-connected shortest distance to the goal cell (meters);
-    blocked or unreachable cells read +inf. Axis moves cost cell_size,
-    diagonal moves cell_size * sqrt(2).
+    blocked or unreachable cells read +inf, and so does every cell when the
+    goal cell is blocked. Axis moves cost cell_size, diagonal moves
+    cell_size * sqrt(2).
 
     The label-setting sweep from the goal runs only as far as reads need:
     `at` resumes it until the asked cell is settled (Reverse Resumable A*,
@@ -115,6 +116,7 @@ class DistanceField:
 
     def __init__(self, spec: GridSpec, blocked: np.ndarray, goal_cell, start_cell):
         self.spec = spec
+        self._shape = (spec.nx, spec.ny)
         # Cells are flat indices into the grid padded with one ring of blocked
         # cells, so a move needs no bounds test.
         stride = self._stride = spec.ny + 2
@@ -133,7 +135,8 @@ class DistanceField:
         goal = (goal_cell[0] + 1) * stride + goal_cell[1] + 1
         self._settled: dict[int, float] = {}
         self._best = {goal: 0.0}  # tentative labels
-        self._heap = [(0.0, 0.0, goal)]  # (key, label, cell)
+        # (key, label, cell); a blocked goal leaves nothing to sweep
+        self._heap = [] if self._blocked[goal] else [(0.0, 0.0, goal)]
 
     @property
     def values(self) -> np.ndarray:
@@ -146,6 +149,9 @@ class DistanceField:
 
     def at(self, ix: int, iy: int) -> float:
         """Distance of cell (ix, iy), settling cells until it is settled."""
+        nx, ny = self._shape
+        if not (0 <= ix < nx and 0 <= iy < ny):
+            raise IndexError(f"cell ({ix}, {iy}) outside the {nx} x {ny} grid")
         k = (ix + 1) * self._stride + iy + 1
         value = self._settled.get(k)
         if value is None:
@@ -191,10 +197,7 @@ def dijkstra_field(
 ) -> DistanceField:
     """The distance field toward the goal cell, settled up to the start
     cell, which its sweep heads for."""
-    gx, gy = spec.cell_of(*goal_xy)
-    if blocked[gx, gy]:
-        raise ValueError("goal cell is blocked")
     start = spec.cell_of(*start_xy)
-    field = DistanceField(spec, blocked, (gx, gy), start)
+    field = DistanceField(spec, blocked, spec.cell_of(*goal_xy), start)
     field.at(*start)
     return field

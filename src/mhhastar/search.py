@@ -23,9 +23,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
+from operator import attrgetter
 
 from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
-from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
+from .grid import CellKey, GridSpec, build_occupancy, dijkstra_field, discretize
 from .heuristics import HeuristicSet
 from .reeds_shepp import RSPath, rs_collision_free, rs_shortest
 from .vehicle import (
@@ -34,6 +35,7 @@ from .vehicle import (
     Gear,
     MotionPrimitiveSet,
     PenaltyConfig,
+    Primitive,
     advance_arc,
     arc_poses,
     arc_steps,
@@ -54,11 +56,11 @@ class Termination(Enum):
 
 @dataclass(slots=True, eq=False)
 class SearchNode:
-    """Continuous state plus the per-cell bookkeeping shared by all queues."""
+    """Continuous state plus the per-cell bookkeeping shared by all queues;
+    the gear driven into the node is `cell.gear`."""
 
     pose: Pose
-    gear: Gear
-    steering: float
+    step: Primitive | None  # the primitive from bp to pose, None at the start
     cell: CellKey
     g: float
     bp: "SearchNode | None"
@@ -251,25 +253,19 @@ class _Search:
         self.wheelbase = scenario.vehicle.wheelbase
         self.turning_radius = scenario.limits.turning_radius(self.wheelbase)
 
+        self.primitives = config.primitives.table(self.wheelbase)
+
         t0 = time.perf_counter()
         occupancy = build_occupancy(self.spec, self.obstacles)
-        goal_cell_free = not occupancy[self.spec.cell_of(goal.x, goal.y)]
-        self.field: DistanceField | None = (
-            dijkstra_field(self.spec, occupancy, (goal.x, goal.y), (start.x, start.y))
-            if goal_cell_free
-            else None
-        )
+        self.field = dijkstra_field(self.spec, occupancy, (goal.x, goal.y), (start.x, start.y))
         self.setup_time = time.perf_counter() - t0
 
-        # Without a field, run() returns before any key is read. The open list
-        # holds the bound method, not self, so no cycle keeps the search alive.
+        # The open list holds the bound method, not self, so no cycle keeps
+        # the search alive.
         self.heuristics = HeuristicSet(goal, self.field, self.turning_radius)
         self.open = OpenList((1.0, *self.factors), self.heuristics.anchor)
         self.nodes: dict[CellKey, SearchNode] = {}
-        # The least-g node in the goal cell, the first inserted among equal g;
-        # goal_rank numbers goal nodes in the order of their first insert.
-        self.goal_node: SearchNode | None = None
-        self.goal_rank: dict[SearchNode, int] = {}
+        self.goals: list[SearchNode] = []  # goal-cell nodes in first-insert order
         gx, gy = self.spec.cell_of(goal.x, goal.y)
         self.goal_xyt = (gx, gy, self.spec.heading_bin(goal.theta))
         self.expansions = 0
@@ -282,11 +278,13 @@ class _Search:
         """(Re)insert an open node into every queue, keyed on its holonomic
         value until its anchor is evaluated."""
         self.open.push(node, h_holonomic)
-        if node.cell[:3] == self.goal_xyt:
-            rank = self.goal_rank.setdefault(node, len(self.goal_rank))
-            best = self.goal_node
-            if best is None or (node.g, rank) < (best.g, self.goal_rank[best]):
-                self.goal_node = node
+        if node.cell[:3] == self.goal_xyt and node not in self.goals:
+            self.goals.append(node)
+
+    @property
+    def goal_node(self) -> SearchNode | None:
+        """The least-g goal-cell node, the first inserted among equal g."""
+        return min(self.goals, key=attrgetter("g"), default=None)
 
     def _collides(self, pose: Pose) -> bool:
         return vehicle_collides(pose, self.vehicle, self.obstacles)
@@ -301,41 +299,28 @@ class _Search:
         if self.trace is not None:
             self.trace.append((s.bp.pose if s.bp is not None else None, s.pose, s.cell))
 
-        previous = s if s.bp is not None else None
-        for step in successors(s, self.config.primitives, self.wheelbase):
-            end = step.end_pose
+        for primitive, end in successors(s.pose, self.primitives):
             if not self.spec.contains(end.x, end.y):
                 continue
-            cell = discretize(end, step.gear, self.spec)
+            gear, curvature, length = primitive.arc
+            cell = discretize(end, gear, self.spec)
             existing = self.nodes.get(cell)
             if existing is not None and existing.closed:
                 continue
             h_holonomic = self.field.at(cell.ix, cell.iy)
             if math.isinf(h_holonomic):
                 continue  # walled off; the anchor heuristic would be infinite
-            mid = advance_arc(
-                s.pose,
-                step.gear,
-                math.tan(step.steering) / self.wheelbase,
-                step.length / 2.0,
-            )
+            mid = advance_arc(s.pose, gear, curvature, length / 2.0)
             if self._collides(end) or self._collides(mid):
                 continue
-            g_new = s.g + step_cost(step, previous, self.config.penalties)
+            g_new = s.g + step_cost(primitive, s.step, self.config.penalties)
             if existing is None:
-                node = SearchNode(
-                    pose=end,
-                    gear=step.gear,
-                    steering=step.steering,
-                    cell=cell,
-                    g=g_new,
-                    bp=s,
-                )
+                node = SearchNode(pose=end, step=primitive, cell=cell, g=g_new, bp=s)
                 self.nodes[cell] = node
                 self._insert(node, h_holonomic)
             elif g_new < existing.g:
                 existing.pose = end
-                existing.steering = step.steering
+                existing.step = primitive
                 existing.g = g_new
                 existing.bp = s
                 self._insert(existing, h_holonomic)
@@ -372,14 +357,10 @@ class _Search:
         drive: tuple[Arc, ...] = ()
         length = cost = math.inf
         if node is not None:
-            arc_length = self.config.primitives.arc_length
-            drive = tuple(
-                Arc(hop.gear, math.tan(hop.steering) / self.wheelbase, arc_length)
-                for hop in self._backtrack(node)[1:]
-            )
+            drive = tuple(hop.step.arc for hop in self._backtrack(node)[1:])
             length = 0.0
-            for _ in drive:  # len(drive) * arc_length can differ in the last bit
-                length += arc_length
+            for arc in drive:  # len(drive) * arc_length can differ in the last bit
+                length += arc.length
             cost = node.g
             if tail is not None:
                 length += tail.total_length
@@ -405,18 +386,13 @@ class _Search:
         config = self.config
         start = self.start
         t0 = time.perf_counter()
-        h_start = math.inf if self.field is None else self.field.lookup(start.x, start.y)
+        h_start = self.field.lookup(start.x, start.y)
         if math.isinf(h_start):
             # The goal cell is blocked or unreachable in the 2-D relaxation.
             return self._result(Termination.NO_SOLUTION, time.perf_counter() - t0)
 
         start_node = SearchNode(
-            pose=start,
-            gear=Gear.FORWARD,
-            steering=0.0,
-            cell=discretize(start, Gear.FORWARD, self.spec),
-            g=0.0,
-            bp=None,
+            pose=start, step=None, cell=discretize(start, Gear.FORWARD, self.spec), g=0.0, bp=None
         )
         self.nodes[start_node.cell] = start_node
         self._insert(start_node, h_start)

@@ -53,15 +53,15 @@ class MotionPrimitiveSet:
         if not (self.arc_length > 0.0 and math.isfinite(self.arc_length)):
             raise ValueError("arc_length must be positive and finite")
 
-
-@dataclass(frozen=True)
-class MotionStep:
-    """A single applied primitive: where it ends and how it was driven."""
-
-    gear: Gear
-    steering: float
-    end_pose: Pose
-    length: float
+    def table(self, wheelbase: float) -> tuple[Primitive, ...]:
+        """Every primitive, forward gears before reverse, steering angles in
+        listed order; each drives arc_length at curvature tan(steering) /
+        wheelbase."""
+        return tuple(
+            Primitive(steer, Arc(gear, math.tan(steer) / wheelbase, self.arc_length))
+            for gear in (Gear.FORWARD, Gear.REVERSE)
+            for steer in self.steering_angles
+        )
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,14 @@ class Arc(NamedTuple):
     gear: Gear
     curvature: float
     length: float
+
+
+class Primitive(NamedTuple):
+    """One motion primitive: the steering angle that the step cost reads and
+    the arc it drives."""
+
+    steering: float
+    arc: Arc
 
 
 def arc_steps(length: float, spacing: float) -> int:
@@ -156,26 +164,19 @@ def bisection_order(n: int) -> Iterator[int]:
             spans += ((lo, mid), (mid, hi))
 
 
-def successors(state, primitives: MotionPrimitiveSet, wheelbase: float) -> list[MotionStep]:
-    """All motion steps from `state.pose`, forward gears before reverse,
-    steering angles in listed order; a step drives arc_length at curvature
-    tan(steering)/wheelbase."""
-    pose = state.pose
-    steps = []
-    for gear in (Gear.FORWARD, Gear.REVERSE):
-        for steer in primitives.steering_angles:
-            end = advance_arc(pose, gear, math.tan(steer) / wheelbase, primitives.arc_length)
-            steps.append(MotionStep(gear, steer, end, primitives.arc_length))
-    return steps
+def successors(pose: Pose, primitives: Sequence[Primitive]) -> list[tuple[Primitive, Pose]]:
+    """Each primitive of the table with the pose it ends at from `pose`."""
+    return [(primitive, advance_arc(pose, *primitive.arc)) for primitive in primitives]
 
 
-def step_cost(step: MotionStep, previous, penalties: PenaltyConfig) -> float:
-    """Arc length plus penalties; `previous` needs .gear and .steering
-    (a MotionStep or a search node), or None at the path start."""
-    cost = step.length * (penalties.reverse_mult if step.gear is Gear.REVERSE else 1.0)
+def step_cost(primitive: Primitive, previous: Primitive | None, penalties: PenaltyConfig) -> float:
+    """Arc length plus penalties; `previous` is the primitive driven just
+    before, None at the path start."""
+    steering, (gear, _, length) = primitive
+    cost = length * (penalties.reverse_mult if gear is Gear.REVERSE else 1.0)
     if previous is not None:
-        if step.gear != previous.gear:
+        if gear != previous.arc.gear:
             cost += penalties.switchback
-        cost += penalties.steer_change * abs(step.steering - previous.steering)
-    cost += penalties.steer_hold * abs(step.steering)
+        cost += penalties.steer_change * abs(steering - previous.steering)
+    cost += penalties.steer_hold * abs(steering)
     return cost

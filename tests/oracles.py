@@ -375,23 +375,12 @@ def bellman_ford_field(nx, ny, blocked, goal_cell, cell_size):
     return dist
 
 
-def uniform_cost_over_primitives(
-    scenario, start_pose, start_gear=Gear.FORWARD, collide=None
-):
+def uniform_cost_over_primitives(scenario, start_pose, start_gear=Gear.FORWARD):
     """Plain Dijkstra over the primitive graph with cell deduplication and no
     heuristics; returns {CellKey: (g, pose)} for every settled state."""
     spec = scenario.workspace
-    primitives = scenario.search.primitives
+    table = scenario.search.primitives.table(scenario.vehicle.wheelbase)
     penalties = scenario.search.penalties
-    wheelbase = scenario.vehicle.wheelbase
-
-    class _State:
-        __slots__ = ("pose", "gear", "steering")
-
-        def __init__(self, pose, gear, steering):
-            self.pose = pose
-            self.gear = gear
-            self.steering = steering
 
     start_cell = CellKey(
         *spec.cell_of(start_pose.x, start_pose.y),
@@ -400,32 +389,27 @@ def uniform_cost_over_primitives(
     )
     best = {start_cell: (0.0, start_pose)}
     counter = 0
-    heap = [(0.0, counter, _State(start_pose, start_gear, 0.0), start_cell, True)]
+    # (g, counter, pose, primitive driven into pose or None at the start, cell)
+    heap = [(0.0, counter, start_pose, None, start_cell)]
     settled: dict[CellKey, tuple[float, object]] = {}
     while heap:
-        g, _, state, cell, is_start = heapq.heappop(heap)
+        g, _, pose, previous, cell = heapq.heappop(heap)
         if cell in settled or g > best[cell][0]:
             continue
-        settled[cell] = (g, state.pose)
-        for step in successors(state, primitives, wheelbase):
-            end = step.end_pose
+        settled[cell] = (g, pose)
+        for primitive, end in successors(pose, table):
             if not spec.contains(end.x, end.y):
-                continue
-            if collide is not None and collide(end, state.pose, step):
                 continue
             child_cell = CellKey(
                 *spec.cell_of(end.x, end.y),
                 spec.heading_bin(end.theta),
-                step.gear,
+                primitive.arc.gear,
             )
             if child_cell in settled:
                 continue
-            g_new = g + step_cost(step, None if is_start else state, penalties)
+            g_new = g + step_cost(primitive, previous, penalties)
             if child_cell not in best or g_new < best[child_cell][0]:
                 best[child_cell] = (g_new, end)
                 counter += 1
-                heapq.heappush(
-                    heap,
-                    (g_new, counter, _State(end, step.gear, step.steering), child_cell, False),
-                )
+                heapq.heappush(heap, (g_new, counter, end, primitive, child_cell))
     return settled

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -112,12 +113,15 @@ class TestDijkstraField:
         field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (2.3, 2.3), (2.3, 2.3))
         assert field.lookup(2.3, 2.3) == 0.0
 
-    def test_blocked_goal_raises(self):
+    def test_blocked_goal_reads_inf_everywhere(self):
         spec = GridSpec(0, 5, 0, 5, cell_size=0.5, heading_bins=8)
         mask = np.zeros((spec.nx, spec.ny), bool)
         mask[spec.cell_of(2.3, 2.3)] = True
-        with pytest.raises(ValueError):
-            dijkstra_field(spec, mask, (2.3, 2.3), (2.3, 2.3))
+        field = dijkstra_field(spec, mask, (2.3, 2.3), (0.1, 0.1))
+        assert all(
+            math.isinf(field.at(ix, iy)) for ix in range(spec.nx) for iy in range(spec.ny)
+        )
+        assert np.isinf(field.values).all()
 
     def test_empty_map_equals_octile(self):
         spec = GridSpec(0, 8, 0, 6, cell_size=0.5, heading_bins=8)
@@ -334,3 +338,13 @@ class TestFieldLookup:
     def test_outside_raises(self):
         with pytest.raises(WorkspaceError):
             self._field().lookup(9.0, 0.0)
+
+    @pytest.mark.parametrize("cell", [(0, 9), (-2, 0), (6, 0), (0, 6), (0, -1), (99, 99)])
+    def test_cell_index_outside_the_grid_raises(self, cell):
+        # A flat index past the last column would land on the next row's
+        # cells, (0, 9) on (1, 1), and a negative one on the padding.
+        spec = GridSpec(0, 1.8, 0, 1.8, cell_size=0.3, heading_bins=8)
+        assert (spec.nx, spec.ny) == (6, 6)
+        field = dijkstra_field(spec, np.zeros((6, 6), bool), (0.1, 0.1), (1.7, 1.7))
+        with pytest.raises(IndexError, match=re.escape(f"cell {cell}")):
+            field.at(*cell)

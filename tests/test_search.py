@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhhastar import geometry, heuristics, search
-from mhhastar.geometry import ObstacleSet, Pose, vehicle_collides
-from mhhastar.grid import CellKey, discretize
-from mhhastar.scenario import load_scenario, validate
+from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
+from mhhastar.grid import CellKey, GridSpec, discretize
+from mhhastar.scenario import build_parallel_parking, load_scenario, validate
 from mhhastar.search import (
     OpenList,
     SearchConfig,
@@ -23,7 +23,7 @@ from mhhastar.search import (
     hybrid_a_star,
     mhha_star,
 )
-from mhhastar.vehicle import Gear, advance_arc
+from mhhastar.vehicle import Gear, VehicleLimits, advance_arc
 
 from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
 from oracles import rectangle_corners
@@ -83,8 +83,7 @@ class TestOpenList:
     @staticmethod
     def _node(g=0.0, h=0.0):
         return SearchNode(
-            pose=Pose(h, 0, 0), gear=Gear.FORWARD, steering=0.0,
-            cell=CellKey(0, 0, 0, Gear.FORWARD), g=g, bp=None,
+            pose=Pose(h, 0, 0), step=None, cell=CellKey(0, 0, 0, Gear.FORWARD), g=g, bp=None,
         )
 
     def test_empty_minkey_is_inf(self):
@@ -235,6 +234,27 @@ class TestImmediateCases:
         assert r.path == []
         assert math.isinf(r.path_length)
 
+    def test_blocked_goal_cell_is_no_solution_before_any_expansion(self):
+        # With no rear overhang the body ends at the rear axle, so a point
+        # just behind the goal pose blocks its cell without touching the car.
+        goal = Pose(9.15, 0.15, 0.0)  # a cell center
+        point = (goal.x - 0.01, goal.y)
+        sc = build_parallel_parking(
+            workspace=GridSpec(-15.0, 15.0, -15.0, 15.0, 0.3, 72),
+            vehicle=VehicleGeometry(4.7, 2.0, 2.7, 0.0),
+            limits=VehicleLimits(phi_max=0.6),
+            spot=None,
+            start=Pose(0, 0, 0),
+            goal=goal,
+            extra_points=[point],
+        )
+        assert sc.workspace.cell_of(*point) == sc.workspace.cell_of(goal.x, goal.y)
+        assert validate(sc) == []
+        for planner in (mhha_star, hybrid_a_star):
+            r = planner(sc.start, sc.goal, sc)
+            assert r.termination is Termination.NO_SOLUTION
+            assert (r.nodes_expanded, r.iterations, r.heuristic_evaluations) == (0, 0, 0)
+
     @pytest.mark.parametrize("factors", [(2.0,), (2.0, 3.0)])
     def test_trapped_vehicle_exhausts_open(self, factors):
         # a pocket barely larger than the body, with a slit the distance field
@@ -291,8 +311,7 @@ def make_searcher(sc, n=1):
     """A live search over `sc` with only the start node inserted."""
     s = _Search(sc.start, sc.goal, sc, sc.search, n, trace=False)
     start = SearchNode(
-        pose=sc.start, gear=Gear.FORWARD, steering=0.0,
-        cell=discretize(sc.start, Gear.FORWARD, sc.workspace),
+        pose=sc.start, step=None, cell=discretize(sc.start, Gear.FORWARD, sc.workspace),
         g=0.0, bp=None,
     )
     s.nodes[start.cell] = start
@@ -317,9 +336,7 @@ class TestQueueKeys:
     @staticmethod
     def _node(s, g, pose):
         return SearchNode(
-            pose=pose, gear=Gear.FORWARD, steering=0.0,
-            cell=discretize(pose, Gear.FORWARD, s.spec),
-            g=g, bp=None,
+            pose=pose, step=None, cell=discretize(pose, Gear.FORWARD, s.spec), g=g, bp=None
         )
 
     def _keys(self, s, g, pose):
@@ -388,10 +405,7 @@ class TestExpandNode:
         arc = sc.search.primitives.arc_length
         ahead = Pose(arc, 0.0, 0.0)  # where start's straight step lands
         cell = discretize(ahead, Gear.FORWARD, sc.workspace)
-        planted = SearchNode(
-            pose=Pose(arc - 0.01, 0.0, 0.0), gear=Gear.FORWARD, steering=0.0,
-            cell=cell, g=0.1, bp=None,
-        )
+        planted = SearchNode(pose=Pose(arc - 0.01, 0.0, 0.0), step=None, cell=cell, g=0.1, bp=None)
         s.nodes[cell] = planted
         insert(s, planted)
         s.expand_node(start)
@@ -406,17 +420,16 @@ class TestExpandNode:
         arc = sc.search.primitives.arc_length
         ahead = Pose(arc, 0.0, 0.0)
         cell = discretize(ahead, Gear.FORWARD, sc.workspace)
-        planted = SearchNode(
-            pose=Pose(arc - 0.01, 0.0, 0.0), gear=Gear.FORWARD, steering=0.3,
-            cell=cell, g=99.0, bp=None,
-        )
+        left, straight = s.primitives[:2]  # forward at -phi, then forward straight
+        assert straight.arc == (Gear.FORWARD, 0.0, arc) and left.steering != 0.0
+        planted = SearchNode(pose=Pose(arc - 0.01, 0.0, 0.0), step=left, cell=cell, g=99.0, bp=None)
         s.nodes[cell] = planted
         insert(s, planted)
         s.expand_node(start)
         assert planted.g == pytest.approx(arc)
         assert planted.bp is start
         assert planted.pose == ahead
-        assert planted.steering == 0.0
+        assert planted.step is straight
 
     def test_anchor_closed_cells_skipped(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
@@ -424,7 +437,7 @@ class TestExpandNode:
         s.expand_node(start)
         rev = next(
             n for n in s.nodes.values()
-            if n.bp is start and n.steering == 0.0 and n.gear is Gear.REVERSE
+            if n.bp is start and n.step.steering == 0.0 and n.cell.gear is Gear.REVERSE
         )
         # rev's forward-straight successor lands exactly on the closed start
         # cell (same gear) and must be skipped, not re-opened or updated
@@ -464,7 +477,7 @@ class TestExpandNode:
         s.expand_node(node)
         accepted = [
             n for n in s.nodes.values()
-            if n.bp is node and n.gear is Gear.FORWARD and n.steering == steer
+            if n.bp is node and n.cell.gear is Gear.FORWARD and n.step.steering == steer
         ]
         assert accepted == [], "expand_node accepted a primitive whose body sweeps through a point"
 
@@ -473,8 +486,8 @@ class TestGoalNode:
     def _goal_nodes(self, sc):
         return [
             SearchNode(
-                pose=sc.goal, gear=gear, steering=0.0,
-                cell=discretize(sc.goal, gear, sc.workspace), g=math.inf, bp=None,
+                pose=sc.goal, step=None, cell=discretize(sc.goal, gear, sc.workspace),
+                g=math.inf, bp=None,
             )
             for gear in (Gear.FORWARD, Gear.REVERSE)
         ]
@@ -754,7 +767,7 @@ class TestReconstructPath:
             s.expand_node(node)
             node = next(
                 n for n in s.nodes.values()
-                if n.bp is node and n.gear is gear and n.steering == steering
+                if n.bp is node and n.cell.gear is gear and n.step.steering == steering
             )
         chain = s._backtrack(node)
         result = s._result(Termination.GOAL_KEY, 0.0, node)
@@ -771,8 +784,8 @@ class TestBacktrackGuard:
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
         other = SearchNode(
-            pose=Pose(0.5, 0, 0), gear=Gear.FORWARD, steering=0.0,
-            cell=CellKey(1, 0, 0, Gear.FORWARD), g=1.0, bp=start,
+            pose=Pose(0.5, 0, 0), step=s.primitives[1], cell=CellKey(1, 0, 0, Gear.FORWARD),
+            g=1.0, bp=start,
         )
         start.bp = other  # corrupt the tree
         with pytest.raises(RuntimeError, match="cyclic"):

@@ -10,8 +10,8 @@ from mhhastar.vehicle import (
     Arc,
     Gear,
     MotionPrimitiveSet,
-    MotionStep,
     PenaltyConfig,
+    Primitive,
     VehicleLimits,
     advance_arc,
     arc_poses,
@@ -25,11 +25,7 @@ from oracles import rk4_arc
 
 WHEELBASE = 2.7
 PHI_MAX = 0.6
-
-
-class _State:
-    def __init__(self, pose):
-        self.pose = pose
+TABLE = MotionPrimitiveSet(arc_length=0.5, steering_angles=(-0.6, 0.0, 0.6)).table(WHEELBASE)
 
 
 def arc_step(start, gear, steering, ds):
@@ -155,26 +151,41 @@ class TestBisectionOrder:
         assert list(bisection_order(5)) == [0, 2, 1, 3, 4]
 
 
-class TestSuccessors:
-    PRIMITIVES = MotionPrimitiveSet(arc_length=0.5, steering_angles=(-0.6, 0.0, 0.6))
+class TestPrimitiveTable:
+    def test_forward_before_reverse_in_listed_order(self):
+        primitives = MotionPrimitiveSet(arc_length=0.5, steering_angles=(0.3, -0.6, 0.0))
+        table = primitives.table(WHEELBASE)
+        assert [(p.arc.gear, p.steering) for p in table] == [
+            (gear, steer) for gear in (Gear.FORWARD, Gear.REVERSE) for steer in (0.3, -0.6, 0.0)
+        ]
 
-    def test_cardinality_and_order(self):
-        steps = successors(_State(Pose(0, 0, 0)), self.PRIMITIVES, WHEELBASE)
-        assert len(steps) == 6
-        assert [s.gear for s in steps[:3]] == [Gear.FORWARD] * 3
-        assert [s.gear for s in steps[3:]] == [Gear.REVERSE] * 3
-        assert [s.steering for s in steps[:3]] == [-0.6, 0.0, 0.6]
+    def test_every_arc_has_the_set_length(self):
+        assert {p.arc.length for p in TABLE} == {0.5}
+
+    def test_curvature_is_tan_steering_over_wheelbase_bit_for_bit(self):
+        for wheelbase in (WHEELBASE, 0.2, 3.1):
+            steering = (-0.6, -0.17, 0.0, 1e-9, 0.41, 0.6)
+            table = MotionPrimitiveSet(0.5, steering).table(wheelbase)
+            assert [p.arc.curvature for p in table] == [
+                math.tan(s) / wheelbase for _ in Gear for s in steering
+            ]
+
+
+class TestSuccessors:
+    def test_one_end_pose_per_primitive_in_table_order(self):
+        start = Pose(1, 2, 0.4)
+        steps = successors(start, TABLE)
+        assert [primitive for primitive, _ in steps] == list(TABLE)
+        assert [end for _, end in steps] == [advance_arc(start, *p.arc) for p in TABLE]
 
     def test_chord_no_longer_than_arc(self):
-        steps = successors(_State(Pose(1, 2, 0.4)), self.PRIMITIVES, WHEELBASE)
-        for s in steps:
-            assert math.dist((1, 2), (s.end_pose.x, s.end_pose.y)) <= 0.5 + 1e-12
+        for _, end in successors(Pose(1, 2, 0.4), TABLE):
+            assert math.dist((1, 2), (end.x, end.y)) <= 0.5 + 1e-12
 
     def test_straight_forward_step_present(self):
-        steps = successors(_State(Pose(0, 0, 0)), self.PRIMITIVES, WHEELBASE)
-        straight = steps[1]
+        straight, end = successors(Pose(0, 0, 0), TABLE)[1]
         assert straight.steering == 0.0
-        assert (straight.end_pose.x, straight.end_pose.y, straight.end_pose.theta) == (0.5, 0.0, 0.0)
+        assert (end.x, end.y, end.theta) == (0.5, 0.0, 0.0)
 
 
 class TestStepCost:
@@ -182,7 +193,8 @@ class TestStepCost:
 
     @staticmethod
     def step(gear, steering, length=1.0):
-        return MotionStep(gear, steering, Pose(0, 0, 0), length)
+        """A primitive as `MotionPrimitiveSet.table` builds it."""
+        return Primitive(steering, Arc(gear, math.tan(steering) / WHEELBASE, length))
 
     def test_plain_forward(self):
         pen = PenaltyConfig(reverse_mult=2.0, switchback=5.0, steer_change=1.0)
@@ -205,6 +217,12 @@ class TestStepCost:
         pen = PenaltyConfig(reverse_mult=1.0, switchback=0.0, steer_change=0.0, steer_hold=2.0)
         assert step_cost(self.step(Gear.FORWARD, 0.5), None, pen) == pytest.approx(2.0)
 
+    def test_table_primitives(self):
+        forward_left, _, _, reverse_left, reverse_straight, _ = TABLE
+        assert step_cost(reverse_straight, None, self.PEN) == 1.0
+        assert step_cost(reverse_left, forward_left, self.PEN) == 1.0 + 5.0
+        assert step_cost(reverse_straight, reverse_left, self.PEN) == pytest.approx(1.0 + 0.6)
+
     def test_cost_at_least_length(self):
         rng = random.Random(5)
         for _ in range(500):
@@ -217,4 +235,4 @@ class TestStepCost:
             gear = rng.choice([Gear.FORWARD, Gear.REVERSE])
             prev = self.step(rng.choice([Gear.FORWARD, Gear.REVERSE]), rng.uniform(-0.6, 0.6))
             step = self.step(gear, rng.uniform(-0.6, 0.6), rng.uniform(0.1, 2.0))
-            assert step_cost(step, prev, pen) >= step.length
+            assert step_cost(step, prev, pen) >= step.arc.length
