@@ -73,26 +73,22 @@ def _load_checked(path: str) -> Scenario:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_checked(args.scenario)
-        planner = _PLANNERS[args.planner]
-        result = planner(scenario.start, scenario.goal, scenario, trace=bool(args.svg))
-        if args.json:
-            report = {
-                "scenario": args.scenario,
-                "planner": args.planner,
-                "config": scenario_to_dict(scenario)["search"],
-                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "metrics": _metrics_dict(result),
-            }
-            Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        if result.found and args.path_out:
-            Path(args.path_out).write_text(path_lines(result), encoding="utf-8")
-        if result.found and args.svg:
-            Path(args.svg).write_text(render_svg(scenario, result), encoding="utf-8")
-    except (ScenarioError, SearchLimitError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    scenario = _load_checked(args.scenario)
+    planner = _PLANNERS[args.planner]
+    result = planner(scenario.start, scenario.goal, scenario, trace=bool(args.svg))
+    if args.json:
+        report = {
+            "scenario": args.scenario,
+            "planner": args.planner,
+            "config": scenario_to_dict(scenario)["search"],
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "metrics": _metrics_dict(result),
+        }
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    if result.found and args.path_out:
+        Path(args.path_out).write_text(path_lines(result), encoding="utf-8")
+    if result.found and args.svg:
+        Path(args.svg).write_text(render_svg(scenario, result), encoding="utf-8")
     if not result.found:
         print("no solution")
         return 2
@@ -104,18 +100,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     started_at = time.strftime("%Y-%m-%dT%H:%M:%S")
-    try:
-        scenario = _load_checked(args.scenario)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results: dict[str, PlanResult] = {}
-        for name, planner in _PLANNERS.items():
-            results[name] = planner(
-                scenario.start, scenario.goal, scenario, trace=args.trace
-            )
-    except (ScenarioError, SearchLimitError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    scenario = _load_checked(args.scenario)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results: dict[str, PlanResult] = {}
+    for name, planner in _PLANNERS.items():
+        results[name] = planner(scenario.start, scenario.goal, scenario, trace=args.trace)
 
     for name, result in results.items():
         if result.found:
@@ -147,12 +137,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    violations = validate(scenario)
+    violations = validate(load_scenario(args.scenario))
     if violations:
         for v in violations:
             print(v, file=sys.stderr)
@@ -193,7 +178,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # --help exits 0, a usage error 2; 2 means "no solution" here
         return 1 if e.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, SearchLimitError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
-    except OSError as e:
+    except (OSError, UnicodeDecodeError, RecursionError) as e:  # unreadable, not UTF-8, too deep
         raise ScenarioError(f"{path}: {e}") from e
     return scenario_from_dict(data)
 

@@ -99,7 +99,9 @@ class OpenList:
         for heap, factor in zip(self._heaps, self._factors):
             heappush(heap, (node.g + factor * h_lower, next(self._counter), node.version, node))
 
-    def _head(self, i: int):
+    def head(self, i: int) -> tuple[float, SearchNode | None]:
+        """(true key, node) of queue i's least live entry; (inf, None) when
+        the queue is empty."""
         heap = self._heaps[i]
         factor = self._factors[i]
         while heap:
@@ -112,17 +114,9 @@ class OpenList:
                 self.evaluations += 1
             true_key = node.g + factor * node.h_anchor
             if key == true_key:
-                return heap[0]
+                return key, node
             heapreplace(heap, (true_key, count, version, node))
-        return None
-
-    def minkey(self, i: int) -> float:
-        entry = self._head(i)
-        return entry[0] if entry is not None else math.inf
-
-    def top(self, i: int) -> SearchNode | None:
-        entry = self._head(i)
-        return entry[3] if entry is not None else None
+        return math.inf, None
 
 
 @dataclass(frozen=True)
@@ -266,8 +260,7 @@ class _Search:
         self.open = OpenList((1.0, *self.factors), self.heuristics.anchor)
         self.nodes: dict[CellKey, SearchNode] = {}
         self.goals: list[SearchNode] = []  # goal-cell nodes in first-insert order
-        gx, gy = self.spec.cell_of(goal.x, goal.y)
-        self.goal_xyt = (gx, gy, self.spec.heading_bin(goal.theta))
+        self.goal_xyt = discretize(goal, Gear.FORWARD, self.spec)[:3]
         self.expansions = 0
         self.iterations = 0
         self.trace: list | None = [] if trace else None
@@ -397,37 +390,33 @@ class _Search:
         self.nodes[start_node.cell] = start_node
         self._insert(start_node, h_start)
 
-        indices = tuple(range(1, len(self.factors) + 1)) or (0,)
+        n = len(self.factors)
         omega = config.omega_factor
-        while self.open.minkey(0) < math.inf:
-            for i in indices:
-                if self.iterations >= config.max_iterations:
-                    raise SearchLimitError(
-                        f"no termination within {config.max_iterations} iterations"
-                    )
-                use_i = i if i != 0 and self.open.minkey(i) <= omega * self.open.minkey(0) else 0
-                self.iterations += 1
-                goal_node = self.goal_node
-                if goal_node is not None and goal_node.g <= self.open.minkey(use_i):
-                    if use_i != 0:
-                        bound = omega * self.open.minkey(0)
-                        assert goal_node.g <= bound + 1e-6 * max(1.0, bound), (
-                            "suboptimality bound violated at termination"
-                        )
-                    return self._result(
-                        Termination.GOAL_KEY, time.perf_counter() - t0, goal_node
-                    )
-                s = self.open.top(use_i)
-                if s is None:
-                    break
-                if self.iterations % config.setvalue == 0:
-                    tail = self.analytic_expansion(s)
-                    if tail is not None:
-                        return self._result(
-                            Termination.RS_SHORTCUT, time.perf_counter() - t0, s, tail
-                        )
-                self.expand_node(s)
-        return self._result(Termination.NO_SOLUTION, time.perf_counter() - t0)
+        while True:
+            # Every queue holds the same live nodes: all are empty together.
+            anchor_key, s = self.open.head(0)
+            if s is None:
+                return self._result(Termination.NO_SOLUTION, time.perf_counter() - t0)
+            if self.iterations >= config.max_iterations:
+                raise SearchLimitError(f"no termination within {config.max_iterations} iterations")
+            key = anchor_key
+            if n:  # round robin over the inflated queues, each within omega of the anchor
+                key_i, s_i = self.open.head(1 + self.iterations % n)
+                if key_i <= omega * anchor_key:
+                    key, s = key_i, s_i
+            self.iterations += 1
+            goal_node = self.goal_node
+            if goal_node is not None and goal_node.g <= key:
+                bound = omega * anchor_key
+                assert goal_node.g <= bound + 1e-6 * max(1.0, bound), (
+                    "suboptimality bound violated at termination"
+                )
+                return self._result(Termination.GOAL_KEY, time.perf_counter() - t0, goal_node)
+            if self.iterations % config.setvalue == 0:
+                tail = self.analytic_expansion(s)
+                if tail is not None:
+                    return self._result(Termination.RS_SHORTCUT, time.perf_counter() - t0, s, tail)
+            self.expand_node(s)
 
 
 def _plan(

@@ -103,12 +103,35 @@ class TestPlan:
         assert main(["plan", "--help"]) == 0
         assert "--path-out" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("option", ["--json", "--path-out", "--svg"])
+    @pytest.mark.parametrize("option", ["--json", "--path-out", "--svg", "--out"])
     def test_unwritable_output_exit_1(self, option, forward_file, tmp_path, capsys):
-        target = tmp_path / "missing" / "out"
-        args = ["--scenario", str(forward_file), "--planner", "mhha", option, str(target)]
-        assert main(["plan", *args]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        if option == "--out":
+            # compare writes into an existing directory where a directory
+            # stands in the way of the MHHA* figure
+            (tmp_path / "mhha.svg").mkdir()
+            args = ["compare", "--scenario", str(forward_file), "--out", str(tmp_path)]
+        else:
+            target = tmp_path / "missing" / "out"
+            args = ["plan", "--scenario", str(forward_file), "--planner", "mhha"]
+            args += [option, str(target)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["plan", "--planner", "mhha"]], ids=["validate", "plan"]
+    )
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{\x00}\x00", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    def test_undecodable_file_exit_1(self, command, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([command[0], "--scenario", str(bad), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 class TestValidateCommand:

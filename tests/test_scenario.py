@@ -427,6 +427,17 @@ class TestFiles:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{\x00}\x00", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    def test_undecodable_file_names_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: "):
+            load_scenario(path)
+
     def test_extra_points_round_trip(self, tmp_path, forward_scenario):
         scenario = build_parallel_parking(
             workspace=forward_scenario.workspace,

@@ -86,16 +86,15 @@ class TestOpenList:
             pose=Pose(h, 0, 0), step=None, cell=CellKey(0, 0, 0, Gear.FORWARD), g=g, bp=None,
         )
 
-    def test_empty_minkey_is_inf(self):
-        assert self._open().minkey(0) == math.inf
-        assert self._open().top(0) is None
+    def test_empty_head_is_inf_and_none(self):
+        assert self._open().head(0) == (math.inf, None)
 
     def test_fifo_among_ties(self):
         ol = self._open()
         a, b = self._node(h=1.0), self._node(h=1.0)
         ol.push(a, 1.0)
         ol.push(b, 1.0)
-        assert ol.top(0) is a
+        assert ol.head(0)[1] is a
 
     def test_stale_entries_skipped(self):
         ol = self._open()
@@ -103,8 +102,7 @@ class TestOpenList:
         ol.push(a, 1.0)
         ol.push(b, 2.0)
         a.version += 1  # removal
-        assert ol.top(0) is b
-        assert ol.minkey(0) == 2.0
+        assert ol.head(0) == (2.0, b)
 
     def test_reinsert_with_new_key(self):
         ol = self._open()
@@ -112,15 +110,14 @@ class TestOpenList:
         ol.push(a, 5.0)
         a.pose = Pose(1.0, 0, 0)
         ol.push(a, 1.0)
-        assert ol.minkey(0) == 1.0
+        assert ol.head(0) == (1.0, a)
 
     def test_lower_bound_head_is_rekeyed(self):
         ol = self._open()
         a, b = self._node(h=5.0), self._node(h=3.0)
         ol.push(a, 0.0)
         ol.push(b, 3.0)
-        assert ol.top(0) is b
-        assert ol.minkey(0) == 3.0
+        assert ol.head(0) == (3.0, b)
         assert (a.h_anchor, b.h_anchor, ol.evaluations) == (5.0, 3.0, 2)
 
     def test_rekeyed_entry_keeps_its_place_among_ties(self):
@@ -128,17 +125,17 @@ class TestOpenList:
         a, b = self._node(h=2.0), self._node(h=2.0)
         ol.push(a, 0.0)
         ol.push(b, 2.0)
-        assert ol.top(0) is a
+        assert ol.head(0)[1] is a
 
     def test_anchor_evaluated_once_per_push(self):
         ol = self._open(2.0, 3.0)
         a = self._node(g=1.0, h=2.0)
         ol.push(a, 0.0)
-        assert [ol.minkey(i) for i in range(3)] == [3.0, 5.0, 7.0]
+        assert [ol.head(i) for i in range(3)] == [(3.0, a), (5.0, a), (7.0, a)]
         assert ol.evaluations == 1
         a.pose = Pose(4.0, 0, 0)
         ol.push(a, 0.0)
-        assert [ol.minkey(i) for i in range(3)] == [5.0, 9.0, 13.0]
+        assert [ol.head(i) for i in range(3)] == [(5.0, a), (9.0, a), (13.0, a)]
         assert ol.evaluations == 2
 
     def test_unreached_nodes_are_never_evaluated(self):
@@ -146,7 +143,7 @@ class TestOpenList:
         nodes = [self._node(h=float(k)) for k in range(10)]
         for node in nodes:
             ol.push(node, node.pose.x)
-        assert ol.top(0) is nodes[0]
+        assert ol.head(0)[1] is nodes[0]
         assert ol.evaluations == 1
         assert all(node.h_anchor is None for node in nodes[1:])
 
@@ -167,16 +164,19 @@ class TestLazyKeysMatchEagerKeys:
     """The lazy open list pops what a heap keyed on true keys would pop."""
 
     @staticmethod
-    def _eager_head(entries):
+    def _eager_min(entries):
+        """(key, node) of the least live (key, counter) entry; (inf, None)
+        when there is none."""
         live = [e for e in entries if e[2] == e[3].version]
-        return min(live, key=lambda e: e[:2], default=None)
+        head = min(live, key=lambda e: e[:2], default=None)
+        return (head[0], head[3]) if head else (math.inf, None)
 
     @settings(max_examples=400, deadline=None)
     @given(
         factors=st.lists(st.sampled_from((1.0, 1.5, 2.0, 3.0)), max_size=2),
         ops=st.lists(st.one_of(_PUSH, _EXPAND), max_size=40),
     )
-    def test_same_pops_and_minkeys(self, factors, ops):
+    def test_same_heads(self, factors, ops):
         factors = (1.0, *factors)
         anchors = []  # a pose's x indexes its true anchor here
         ol = OpenList(factors, lambda pose: anchors[int(pose.x)])
@@ -195,15 +195,12 @@ class TestLazyKeysMatchEagerKeys:
                     counter += 1
             else:
                 i = op[1] % len(factors)
-                head = self._eager_head(eager[i])
-                top = ol.top(i)
-                assert top is (head[3] if head else None)
-                if top is not None:
-                    top.version += 1  # removal from every queue
+                _, node = ol.head(i)
+                assert node is self._eager_min(eager[i])[1]
+                if node is not None:
+                    node.version += 1  # removal from every queue
             for i, entries in enumerate(eager):
-                head = self._eager_head(entries)
-                assert ol.minkey(i) == (head[0] if head else math.inf)
-                assert ol.top(i) is (head[3] if head else None)
+                assert ol.head(i) == self._eager_min(entries)
         assert ol.evaluations <= len(anchors)
 
 
@@ -255,12 +252,13 @@ class TestImmediateCases:
             assert r.termination is Termination.NO_SOLUTION
             assert (r.nodes_expanded, r.iterations, r.heuristic_evaluations) == (0, 0, 0)
 
-    @pytest.mark.parametrize("factors", [(2.0,), (2.0, 3.0)])
+    @pytest.mark.parametrize("factors", [(), (2.0,), (2.0, 3.0), (1.5, 2.0, 3.0)])
     def test_trapped_vehicle_exhausts_open(self, factors):
         # a pocket barely larger than the body, with a slit the distance field
         # can leak through but the vehicle cannot: every successor collides.
-        # With two inflated queues the second one is served after the first
-        # has emptied every queue, with no goal node to end the search on.
+        # One iteration takes one head, so emptying the queues takes as many
+        # iterations as expansions, however many queues there are, and an
+        # empty open list ends the search before the iteration cap is checked.
         cx = 1.35
         pts = (
             wall(cx - 2.6, -1.2, cx + 2.6, -1.2)
@@ -274,6 +272,9 @@ class TestImmediateCases:
         r = mhha_star(sc.start, sc.goal, sc, config)
         assert r.termination is Termination.NO_SOLUTION
         assert r.nodes_expanded >= 1
+        assert r.iterations == r.nodes_expanded
+        capped = dataclasses.replace(config, max_iterations=1)
+        assert mhha_star(sc.start, sc.goal, sc, capped).termination is Termination.NO_SOLUTION
 
     @pytest.mark.parametrize("changes, message", INPUT_RULES, ids=[m for _, m in INPUT_RULES])
     def test_input_rule_reported_alike(self, changes, message):
@@ -343,7 +344,7 @@ class TestQueueKeys:
         """Every queue's key for one inserted node, which is then dropped."""
         node = self._node(s, g, pose)
         insert(s, node)
-        keys = [s.open.minkey(i) for i in range(len(s.factors) + 1)]
+        keys = [s.open.head(i)[0] for i in range(len(s.factors) + 1)]
         node.version += 1
         return keys
 
@@ -376,8 +377,8 @@ class TestQueueKeys:
             pose = Pose(rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(-math.pi, math.pi))
             insert(s, self._node(s, 0.0, pose))
         served = 0
-        while (head := s.open.top(0)) is not None:
-            assert s.open.top(1) is head and s.open.top(2) is head
+        while (head := s.open.head(0)[1]) is not None:
+            assert s.open.head(1)[1] is head and s.open.head(2)[1] is head
             head.version += 1
             served += 1
         assert served == 50
@@ -390,7 +391,7 @@ class TestExpandNode:
         s.expand_node(start)
         assert start.closed
         for i in range(len(s.factors) + 1):
-            assert s.open.top(i) is not start
+            assert s.open.head(i)[1] is not start
         assert s.expansions == 1
 
     def test_six_successors_inserted(self):
