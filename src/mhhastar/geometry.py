@@ -8,12 +8,17 @@ one entry per MEMO_CELL square of body centers, filled the first time a body
 center lands in the square from the rows of one range query per block of
 MEMO_BLOCK x MEMO_BLOCK squares; its extra margin makes each entry hold every
 point a query around any center in the square would return.
+
+`BodySweep` checks many bodies at once, at fixed poses relative to one
+moving frame: the points near the frame are moved into it once and tested
+against every body rectangle in one numpy pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +28,8 @@ Point = tuple[float, float]
 
 MEMO_CELL = 0.25  # [m] side of the square of body centers one memo entry serves
 MEMO_BLOCK = 4  # memo squares per side of the block one range query fills
-# [m] from a block's center to its farthest square center, plus rounding slack
-_BLOCK_REACH = (MEMO_BLOCK - 1) / 2 * MEMO_CELL * math.sqrt(2.0) + 1e-6
+# [m] from a block's center to its farthest point, plus rounding slack
+_BLOCK_REACH = MEMO_BLOCK / 2 * MEMO_CELL * math.sqrt(2.0) + 1e-6
 
 
 def normalize_angle(theta: float) -> float:
@@ -106,9 +111,14 @@ class ObstacleSet:
     the square lies within radius + MEMO_CELL / sqrt(2) of its center, 0.07 m
     inside the entry's disk, so the entry holds every point `query(x, y,
     radius)` returns, plus more. The memo never changes what a check finds.
-    An entry is filtered from the rows of one query per block of squares with
-    the query's own float test, so it holds the points of `query(cx, cy,
-    radius + MEMO_CELL)` around the square's center (cx, cy), in order.
+    An entry is filtered from its block's rows with the query's own float
+    test, so it holds the points of `query(cx, cy, radius + MEMO_CELL)` around
+    the square's center (cx, cy), in order.
+
+    A block of MEMO_BLOCK x MEMO_BLOCK squares keeps the rows of one range
+    query around its center, as one array of complex x + iy, at the largest
+    reach any read has asked of the set so far; every radius reads the same
+    rows, and a block filled at a smaller reach is filled again.
     """
 
     def __init__(self, points):
@@ -118,7 +128,8 @@ class ObstacleSet:
         self._by_x = np.argsort(pts[:, 0])
         self._sorted_x = pts[self._by_x, 0]
         self._memo: dict[tuple[int, int, float], list[list[float]]] = {}
-        self._blocks: dict[tuple[int, int, float], list[list[float]]] = {}
+        self._blocks: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
+        self._reach = 0.0
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -140,29 +151,98 @@ class ObstacleSet:
         dy = rows[:, 1] - y
         return rows[dx * dx + dy * dy <= radius * radius]
 
+    def _block(self, bi: int, bj: int, reach: float) -> np.ndarray:
+        """Every point within `reach` of some point of block (bi, bj), plus
+        more, as complex x + iy in input order."""
+        block = self._blocks.get((bi, bj))
+        if block is None or block[0] < reach:
+            self._reach = max(self._reach, reach)
+            side = MEMO_BLOCK * MEMO_CELL
+            rows = self.query((bi + 0.5) * side, (bj + 0.5) * side, self._reach + _BLOCK_REACH)
+            points = np.ascontiguousarray(rows).view(np.complex128).ravel()
+            block = self._blocks[bi, bj] = (self._reach, points)
+        return block[1]
+
+    def nearby(self, x: float, y: float, radius: float) -> np.ndarray:
+        """A superset of query(x, y, radius), as complex x + iy in input
+        order: the rows of the memo block that holds (x, y)."""
+        i, j = math.floor(x / MEMO_CELL), math.floor(y / MEMO_CELL)
+        return self._block(i // MEMO_BLOCK, j // MEMO_BLOCK, radius)
+
     def _candidates(self, x: float, y: float, radius: float) -> list[list[float]]:
         """A superset of query(x, y, radius) as [xs, ys], two float lists,
         memoised per MEMO_CELL square of (x, y)."""
         i, j = math.floor(x / MEMO_CELL), math.floor(y / MEMO_CELL)
         entry = self._memo.get((i, j, radius))
         if entry is None:
-            bi, bj = i // MEMO_BLOCK, j // MEMO_BLOCK
-            rows = self._blocks.get((bi, bj, radius))
-            if rows is None:
-                rows = self._blocks[bi, bj, radius] = self.query(
-                    (bi + 0.5) * MEMO_BLOCK * MEMO_CELL,
-                    (bj + 0.5) * MEMO_BLOCK * MEMO_CELL,
-                    radius + MEMO_CELL + _BLOCK_REACH,
-                ).tolist()
-            cx, cy = (i + 0.5) * MEMO_CELL, (j + 0.5) * MEMO_CELL
             r = radius + MEMO_CELL
-            xs, ys = entry = self._memo[i, j, radius] = [[], []]
-            for px, py in rows:
-                dx, dy = px - cx, py - cy
-                if dx * dx + dy * dy <= r * r:
-                    xs.append(px)
-                    ys.append(py)
+            points = self._block(i // MEMO_BLOCK, j // MEMO_BLOCK, r)
+            d = points - complex((i + 0.5) * MEMO_CELL, (j + 0.5) * MEMO_CELL)
+            inside = points[d.real * d.real + d.imag * d.imag <= r * r]
+            entry = self._memo[i, j, radius] = [inside.real.tolist(), inside.imag.tolist()]
         return entry
+
+
+class BodySweep:
+    """The body rectangle at each of a fixed list of poses relative to a
+    moving frame, for testing them all against the obstacles at once.
+
+    Points are complex numbers x + iy, so one multiplication rotates them.
+    With body k at heading theta_k in the frame and its rectangle centered at
+    center_k, a frame point w lies at (w - center_k) e^(-i theta_k) from that
+    center, the real part along the body. Each rectangle is inflated by
+    INFLATION, far above the rounding of moving points through the frame
+    instead of straight into each body, so a point that `vehicle_collides`
+    finds in a body is always flagged for it.
+    """
+
+    INFLATION = 1e-6  # [m]
+
+    def __init__(self, geometry: VehicleGeometry, poses: tuple[Pose, ...]):
+        eps = self.INFLATION
+        self.mid = mid = geometry.body_center_x
+        self.half = (geometry.length / 2.0 + eps, geometry.width / 2.0 + eps)
+        heading = np.array([complex(math.cos(p.theta), math.sin(p.theta)) for p in poses])
+        centers = np.array([complex(p.x, p.y) for p in poses]) + mid * heading
+        # The box, in the frame, that holds every inflated rectangle.
+        hl, hw = self.half
+        cos, sin = np.abs(heading.real), np.abs(heading.imag)
+        ex, ey = cos * hl + sin * hw + eps, sin * hl + cos * hw + eps
+        lo = complex(min(centers.real - ex, default=0.0), min(centers.imag - ey, default=0.0))
+        hi = complex(max(centers.real + ex, default=0.0), max(centers.imag + ey, default=0.0))
+        self.box_center = (lo + hi) / 2.0
+        self.box_half = ((hi - lo).real / 2.0, (hi - lo).imag / 2.0)
+        # Per body (a column each), w' rotate[k] - offset[k] for w' = w - box_center.
+        self.rotate = heading.conj()[:, None]
+        self.offset = (centers - self.box_center)[:, None] * self.rotate
+        # Every point of every rectangle lies within `reach` of the frame's
+        # own body center, mid.
+        self.reach = max(map(abs, (centers - mid).tolist()), default=0.0) + math.hypot(hl, hw) + eps
+
+    def hits(self, frame: Pose, obstacles: ObstacleSet) -> list[bool] | None:
+        """Per body, whether some obstacle point lies in its inflated
+        rectangle with the frame at `frame`; None when no body has one."""
+        c, s = math.cos(frame.theta), math.sin(frame.theta)
+        points = obstacles.nearby(frame.x + c * self.mid, frame.y + s * self.mid, self.reach)
+        if not points.size:
+            return None
+        turn = complex(c, -s)
+        w = points * turn - (complex(frame.x, frame.y) * turn + self.box_center)
+        half_u, half_v = self.box_half
+        near = (np.abs(w.real) <= half_u) & (np.abs(w.imag) <= half_v)
+        if not np.count_nonzero(near):
+            return None
+        body = w[near] * self.rotate - self.offset
+        half_l, half_w = self.half
+        hit = ((np.abs(body.real) <= half_l) & (np.abs(body.imag) <= half_w)).any(axis=1)
+        return hit.tolist() if np.count_nonzero(hit) else None
+
+
+@lru_cache(maxsize=16)
+def body_sweep(geometry: VehicleGeometry, poses: tuple[Pose, ...]) -> BodySweep:
+    """The sweep of `poses`, built once for every search that checks the same
+    body at the same poses."""
+    return BodySweep(geometry, poses)
 
 
 def vehicle_collides(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +41,12 @@ class GridSpec:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("workspace must be non-degenerate")
 
-    @property
+    # Cached on first read: `cell_of` reads both for every quantized pose.
+    @cached_property
     def nx(self) -> int:
         return max(1, math.ceil((self.x_max - self.x_min) / self.cell_size - 1e-9))
 
-    @property
+    @cached_property
     def ny(self) -> int:
         return max(1, math.ceil((self.y_max - self.y_min) / self.cell_size - 1e-9))
 

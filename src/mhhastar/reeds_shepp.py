@@ -17,16 +17,19 @@ sum, which is within five dropped 1e-12 terms and a few ulps of the length,
 and ranks and verifies only those within tol = 1e-9 * (1 + screen minimum)
 of the minimum. Every other word is longer than screen minimum + tol / 2, so
 the first of them to verify within that bound is the answer; failing that,
-all words are ranked and verified.
+all words are ranked and verified. `_words` drops a word whose plain sum
+exceeds the least plain sum before it by more than that one's tol, and
+generates every word only for that last ranking.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .geometry import Pose, normalize_angle
-from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_stations, bisection_order
+from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_steps, bisection_order
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,24 @@ _PATTERNS = tuple(
 )
 
 
-def _words(x: float, y: float, phi: float) -> list:
-    """(plain |param| sum, enumeration index, params) of every word whose
-    formula applies, variant by variant."""
+def _words(x: float, y: float, phi: float, every: bool = False) -> list:
+    """(plain |param| sum, enumeration index, params) of the words whose
+    formula applies, variant by variant: all of them if `every`, else those
+    within tol of the least plain sum before them, which include every word
+    within tol of the least of all. A word's last parameter is a turn, which
+    is wrapped only once the other terms leave the word in the running."""
     s, c = math.sin(phi), math.cos(phi)
     s_neg, c_neg = math.sin(-phi), math.cos(-phi)
     N = normalize_angle
     words = []
-    add = words.append
+    cut = math.inf  # a word with a larger plain sum is dropped
+
+    def keep(word) -> float:
+        """Keep word; the cut its plain sum sets, inf if every word is kept."""
+        words.append(word)
+        plain = word[0]
+        return math.inf if every else plain + 1e-9 * (1.0 + plain)
+
     for v, (vx, vy, vphi, vs, vc) in enumerate(
         ((x, y, phi, s, c), (-x, y, -phi, s_neg, c_neg), (x, -y, -phi, s_neg, c_neg), (-x, -y, phi, s, c))
     ):
@@ -93,31 +106,52 @@ def _words(x: float, y: float, phi: float) -> list:
         mx, my = vx - vs, vy - 1.0 + vc
         rho, th = math.hypot(mx, my), math.atan2(my, mx)
         r2 = rho * rho
-        w = N(vphi - th)
-        add((abs(th) + rho + abs(w), v, (th, rho, w)))  # LSL
+        plain = abs(th) + rho  # LSL
+        if plain <= cut:
+            w = N(vphi - th)
+            plain += abs(w)
+            if plain <= cut:
+                cut = min(cut, keep((plain, v, (th, rho, w))))
         if rho <= 4.0:
             # acos lies in [0, pi], where normalize_angle is the identity.
             a = math.acos(rho / 4.0)
             t = N(th + _HALF_PI + a)
             u = math.pi - 2.0 * a
-            plain = abs(t) + u
-            w = N(vphi - t - u)
-            add((plain + abs(w), 8 + v, (t, u, w)))  # L|R|L
-            w = N(t + u - vphi)
-            add((plain + abs(w), 12 + v, (t, u, w)))  # L|RL
+            head = abs(t) + u
+            if head <= cut:
+                w = N(vphi - t - u)
+                plain = head + abs(w)  # L|R|L
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 8 + v, (t, u, w))))
+                w = N(t + u - vphi)
+                plain = head + abs(w)  # L|RL
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 12 + v, (t, u, w))))
             if rho != 0.0:
                 u = math.acos(1.0 - r2 / 8.0)
                 t = N(th + _HALF_PI - _asin(2.0 * math.sin(u) / rho))
-                w = N(t - u - vphi)
-                add((abs(t) + abs(u) + abs(w), 16 + v, (t, u, w)))  # LR|L
+                plain = abs(t) + abs(u)  # LR|L
+                if plain <= cut:
+                    w = N(t - u - vphi)
+                    plain += abs(w)
+                    if plain <= cut:
+                        cut = min(cut, keep((plain, 16 + v, (t, u, w))))
         if rho >= 2.0:
             q = math.sqrt(r2 - 4.0) - 2.0
             t = N(th + _HALF_PI + math.atan2(2.0, q + 2.0))
-            w = N(t - vphi + _HALF_PI)
-            add((abs(t) + _HALF_PI + abs(q) + abs(w), 28 + v, (t, _HALF_PI, q, w)))  # L|R(pi/2)SL
+            plain = abs(t) + _HALF_PI + abs(q)  # L|R(pi/2)SL
+            if plain <= cut:
+                w = N(t - vphi + _HALF_PI)
+                plain += abs(w)
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 28 + v, (t, _HALF_PI, q, w))))
             t = N(th + _HALF_PI - math.atan2(q + 2.0, 2.0))
-            w = N(t - vphi - _HALF_PI)
-            add((abs(t) + abs(q) + _HALF_PI + abs(w), 32 + v, (t, q, _HALF_PI, w)))  # LSR(pi/2)|L
+            plain = abs(t) + abs(q) + _HALF_PI  # LSR(pi/2)|L
+            if plain <= cut:
+                w = N(t - vphi - _HALF_PI)
+                plain += abs(w)
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 32 + v, (t, q, _HALF_PI, w))))
 
         # Families on (x + sin phi, y - 1 - cos phi).
         px, py = vx + vs, vy - 1.0 - vc
@@ -126,8 +160,12 @@ def _words(x: float, y: float, phi: float) -> list:
         if r2 >= 4.0:
             root = math.sqrt(r2 - 4.0)
             t = N(th + math.atan2(2.0, root))
-            w = N(t - vphi)
-            add((abs(t) + root + abs(w), 4 + v, (t, root, w)))  # LSR
+            plain = abs(t) + root  # LSR
+            if plain <= cut:
+                w = N(t - vphi)
+                plain += abs(w)
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 4 + v, (t, root, w))))
         if rho <= 4.0:
             if rho <= 2.0:
                 a = math.acos((rho + 2.0) / 4.0)
@@ -137,28 +175,48 @@ def _words(x: float, y: float, phi: float) -> list:
                 a = math.acos((rho - 2.0) / 4.0)
                 t = N(th + _HALF_PI - a)
                 u = math.pi - a
-            w = N(vphi - t + 2.0 * u)
-            add((abs(t) + 2.0 * u + abs(w), 20 + v, (t, u, u, w)))  # LRu|LuR
+            plain = abs(t) + 2.0 * u  # LRu|LuR
+            if plain <= cut:
+                w = N(vphi - t + 2.0 * u)
+                plain += abs(w)
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 20 + v, (t, u, u, w))))
         u1 = (20.0 - r2) / 16.0
         if rho <= 6.0 and 0.0 <= u1 <= 1.0:
             u = math.acos(u1)
             if u != 0.0:
                 t = N(th + _HALF_PI + _asin(2.0 * math.sin(u) / rho))
-                w = N(t - vphi)
-                add((abs(t) + 2.0 * u + abs(w), 24 + v, (t, u, u, w)))  # L|RuLu|R
+                plain = abs(t) + 2.0 * u  # L|RuLu|R
+                if plain <= cut:
+                    w = N(t - vphi)
+                    plain += abs(w)
+                    if plain <= cut:
+                        cut = min(cut, keep((plain, 24 + v, (t, u, u, w))))
         if rho >= 2.0:
             q = rho - 2.0
             t = N(th + _HALF_PI)
-            w = N(vphi - t - _HALF_PI)
-            add((abs(t) + _HALF_PI + q + abs(w), 36 + v, (t, _HALF_PI, q, w)))  # L|R(pi/2)SR
+            plain = abs(t) + _HALF_PI + q  # L|R(pi/2)SR
+            if plain <= cut:
+                w = N(vphi - t - _HALF_PI)
+                plain += abs(w)
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 36 + v, (t, _HALF_PI, q, w))))
             t = N(th)
-            w = N(vphi - t - _HALF_PI)
-            add((abs(t) + q + _HALF_PI + abs(w), 40 + v, (t, q, _HALF_PI, w)))  # LSL(pi/2)|R
+            plain = abs(t) + q + _HALF_PI  # LSL(pi/2)|R
+            if plain <= cut:
+                w = N(vphi - t - _HALF_PI)
+                plain += abs(w)
+                if plain <= cut:
+                    cut = min(cut, keep((plain, 40 + v, (t, q, _HALF_PI, w))))
             if rho >= 4.0 and root >= 4.0:  # L|R(pi/2)SL(pi/2)|R
                 q = root - 4.0
                 t = N(th + _HALF_PI + math.atan2(2.0, q + 4.0))
-                w = N(t - vphi)
-                add((abs(t) + math.pi + q + abs(w), 44 + v, (t, _HALF_PI, q, _HALF_PI, w)))
+                plain = abs(t) + math.pi + q
+                if plain <= cut:
+                    w = N(t - vphi)
+                    plain += abs(w)
+                    if plain <= cut:
+                        cut = min(cut, keep((plain, 44 + v, (t, _HALF_PI, q, _HALF_PI, w))))
     return words
 
 
@@ -252,7 +310,7 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
     tol = 1e-9 * (1.0 + screen)
     best = _select([word for word in words if word[0] <= screen + tol], x, y, phi)
     if best is None or best[0] > screen + tol / 2.0:
-        best = _select(words, x, y, phi)
+        best = _select(_words(x, y, phi, every=True), x, y, phi)
     if best is None:  # no word ends at the goal: the empty word
         return RSPath((), 0.0)
     return _to_path(best[1], best[0], turning_radius)
@@ -265,9 +323,21 @@ def rs_collision_free(path: RSPath, start: Pose, geometry, obstacles) -> bool:
     returns False at the first colliding one."""
     from .geometry import vehicle_collides
 
-    stations = arc_stations(start, path.segments, SAMPLE_SPACING)
-    for k in bisection_order(len(stations) + 1):
-        pose = advance_arc(*stations[k - 1]) if k else start
+    # Per arc, its start pose and the number of poses up to its end.
+    starts, ends = [], []
+    pose, count = start, 0
+    for arc in path.segments:
+        starts.append(pose)
+        count += arc_steps(arc.length, SAMPLE_SPACING)
+        ends.append(count)
+        pose = advance_arc(pose, *arc)
+    for k in bisection_order(count + 1):
+        pose = start
+        if k:
+            i = bisect_left(ends, k)
+            gear, curvature, length = path.segments[i]
+            ds = length if k == ends[i] else (k - (ends[i - 1] if i else 0)) * SAMPLE_SPACING
+            pose = advance_arc(starts[i], gear, curvature, ds)
         if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

@@ -8,10 +8,14 @@ Every `setvalue` steps the head node is probed for an exact curve to the goal,
 which terminates the search early when collision-free.
 
 The anchor heuristic is evaluated lazily (Lazy A*, Tolpin et al. 2013): a new
-or reopened node is pushed on a lower bound of its keys, built from the
-holonomic field value the walled-off test already read, and its anchor is
+or reopened node is pushed on a lower bound of its keys, and its anchor is
 computed only when one of its live entries reaches the head of a queue. The
 heads, and so every search decision, are the ones eager keys would give.
+
+A successor is checked for collision at every pose its primitive adds to a
+returned path, SAMPLE_SPACING apart, by coordinate transformation: the
+obstacle points near the parent are moved into its frame once, and tested
+against the body at every sample of every primitive in one pass.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from enum import Enum
 from heapq import heappop, heappush, heapreplace
 from operator import attrgetter
 
-from .geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
+from .geometry import ObstacleSet, Pose, VehicleGeometry, body_sweep, vehicle_collides
 from .grid import CellKey, GridSpec, build_occupancy, dijkstra_field, discretize
 from .heuristics import HeuristicSet
 from .reeds_shepp import RSPath, rs_collision_free, rs_shortest
@@ -38,10 +42,17 @@ from .vehicle import (
     Primitive,
     advance_arc,
     arc_poses,
+    arc_stations,
     arc_steps,
     step_cost,
     successors,
 )
+
+
+# [m per m of 1 + turning radius] A Reeds-Shepp length may be off its exact
+# value by the rounding of a verified word; a bound derived from a parent's
+# length stays this far below it.
+RS_MARGIN = 1e-6
 
 
 class SearchLimitError(RuntimeError):
@@ -115,6 +126,7 @@ class OpenList:
             true_key = node.g + factor * node.h_anchor
             if key == true_key:
                 return key, node
+            assert true_key > key, "a node was pushed above its true key"
             heapreplace(heap, (true_key, count, version, node))
         return math.inf, None
 
@@ -248,6 +260,20 @@ class _Search:
         self.turning_radius = scenario.limits.turning_radius(self.wheelbase)
 
         self.primitives = config.primitives.table(self.wheelbase)
+        # Per primitive: the index of its first body in `sweep`, and the
+        # distance along it of every pose it adds to a path, end pose first.
+        # The sweep's bodies sit at those poses relative to the primitive's
+        # start.
+        origin = Pose(0.0, 0.0, 0.0)
+        self.samples: list[tuple[int, list[float]]] = []
+        sample_poses: list[Pose] = []
+        for primitive in self.primitives:
+            *rest, end = arc_stations(origin, [primitive.arc], SAMPLE_SPACING)
+            stations = [end, *rest]
+            self.samples.append((len(sample_poses), [station[3] for station in stations]))
+            sample_poses += [advance_arc(*station) for station in stations]
+        self.sweep = body_sweep(self.vehicle, tuple(sample_poses))
+        self.rs_margin = RS_MARGIN * (1.0 + self.turning_radius)
 
         t0 = time.perf_counter()
         occupancy = build_occupancy(self.spec, self.obstacles)
@@ -267,10 +293,10 @@ class _Search:
 
     # -- node bookkeeping ---------------------------------------------------
 
-    def _insert(self, node: SearchNode, h_holonomic: float) -> None:
-        """(Re)insert an open node into every queue, keyed on its holonomic
-        value until its anchor is evaluated."""
-        self.open.push(node, h_holonomic)
+    def _insert(self, node: SearchNode, h_lower: float) -> None:
+        """(Re)insert an open node into every queue, keyed on h_lower, a
+        lower bound of its anchor, until its anchor is evaluated."""
+        self.open.push(node, h_lower)
         if node.cell[:3] == self.goal_xyt and node not in self.goals:
             self.goals.append(node)
 
@@ -285,14 +311,30 @@ class _Search:
     # -- core operations ----------------------------------------------------
 
     def expand_node(self, s: SearchNode) -> None:
-        """Remove s from every open queue, close it, and relax its successors."""
+        """Remove s from every open queue, close it, and relax its successors.
+
+        A successor is relaxed only if it lowers its cell's g and the body
+        clears the obstacles at every sample of its primitive. A sample is
+        checked with `vehicle_collides` only when the sweep flags a point
+        near its body, so every verdict is the plain per-sample check's.
+        The primitive is a path from s, so a successor's Reeds-Shepp length
+        is at least s's minus the arc length: with the holonomic value, a
+        lower bound of its anchor to push it on."""
         s.version += 1  # drops every live heap entry for s
         s.closed = True
         self.expansions += 1
         if self.trace is not None:
             self.trace.append((s.bp.pose if s.bp is not None else None, s.pose, s.cell))
 
-        for primitive, end in successors(s.pose, self.primitives):
+        hits = self.sweep.hits(s.pose, self.obstacles)
+        rs_floor = -math.inf
+        # The anchor is the max of the Reeds-Shepp length and the holonomic
+        # value, so it is the Reeds-Shepp length when above the holonomic value.
+        if s.h_anchor is not None and s.h_anchor > self.field.at(s.cell.ix, s.cell.iy):
+            rs_floor = s.h_anchor - self.rs_margin
+        for (primitive, end), (first, distances) in zip(
+            successors(s.pose, self.primitives), self.samples
+        ):
             if not self.spec.contains(end.x, end.y):
                 continue
             gear, curvature, length = primitive.arc
@@ -303,20 +345,26 @@ class _Search:
             h_holonomic = self.field.at(cell.ix, cell.iy)
             if math.isinf(h_holonomic):
                 continue  # walled off; the anchor heuristic would be infinite
-            mid = advance_arc(s.pose, gear, curvature, length / 2.0)
-            if self._collides(end) or self._collides(mid):
-                continue
             g_new = s.g + step_cost(primitive, s.step, self.config.penalties)
+            if existing is not None and g_new >= existing.g:
+                continue
+            if hits is not None and any(
+                hits[first + k]
+                and self._collides(end if k == 0 else advance_arc(s.pose, gear, curvature, ds))
+                for k, ds in enumerate(distances)
+            ):
+                continue
+            h_lower = max(h_holonomic, rs_floor - length)
             if existing is None:
                 node = SearchNode(pose=end, step=primitive, cell=cell, g=g_new, bp=s)
                 self.nodes[cell] = node
-                self._insert(node, h_holonomic)
-            elif g_new < existing.g:
+                self._insert(node, h_lower)
+            else:
                 existing.pose = end
                 existing.step = primitive
                 existing.g = g_new
                 existing.bp = s
-                self._insert(existing, h_holonomic)
+                self._insert(existing, h_lower)
 
     def analytic_expansion(self, s: SearchNode) -> RSPath | None:
         """Exact curve from s to the goal, or None when it collides."""

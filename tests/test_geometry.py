@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mhhastar.geometry import (
     MEMO_BLOCK,
     MEMO_CELL,
+    BodySweep,
     ObstacleSet,
     Pose,
     VehicleGeometry,
@@ -17,6 +18,7 @@ from mhhastar.geometry import (
     vehicle_collides,
 )
 from mhhastar.scenario import load_scenario
+from mhhastar.vehicle import MotionPrimitiveSet, advance_arc, arc_stations
 
 from conftest import SCENARIOS
 from oracles import point_in_rectangle, polygon_contains, rectangle_corners, world_to_body
@@ -377,3 +379,93 @@ class TestCollisionMemo:
                 assert entry == want, (i, j, radius)
                 held += len(entry[0])
         assert held > 0
+
+
+class TestBodySweep:
+    """The frame filter flags every sample body that `vehicle_collides`
+    finds a point in, and only bodies with a point within 2e-6 m."""
+
+    @staticmethod
+    def _table(geometry, primitives):
+        """Per primitive, its arc and the stations of its samples, end first,
+        and the sweep over every sample's pose relative to its start."""
+        origin = Pose(0.0, 0.0, 0.0)
+        table, poses = [], []
+        for primitive in primitives:
+            *rest, end = arc_stations(origin, [primitive.arc], 0.1)
+            stations = [end, *rest]
+            table.append((primitive.arc, [station[3] for station in stations]))
+            poses += [advance_arc(*station) for station in stations]
+        return table, BodySweep(geometry, poses)
+
+    @staticmethod
+    def _edge_points(rng, pose, geometry, count):
+        """Points within 1e-9 m of the body's edges at `pose`, either side."""
+        rear, front, h = -geometry.rear_overhang, geometry.front_extent, geometry.width / 2.0
+        out = []
+        for _ in range(count):
+            nudge = rng.choice((-1e-9, 0.0, 1e-9))
+            if rng.random() < 0.5:
+                bx, by = rng.choice((rear - nudge, front + nudge)), rng.uniform(-h, h)
+            else:
+                bx, by = rng.uniform(rear, front), rng.choice((-h - nudge, h + nudge))
+            out.append(body_to_world(pose, (bx, by)))
+        return out
+
+    @pytest.mark.parametrize(
+        "geometry, primitives",
+        [
+            (CAR, MotionPrimitiveSet().table(CAR.wheelbase)),
+            (
+                VehicleGeometry(length=2.2, width=1.1, wheelbase=1.4, rear_overhang=0.3),
+                MotionPrimitiveSet(1.2, (-0.6, -0.3, 0.0, 0.3, 0.6)).table(1.4),
+            ),
+        ],
+    )
+    def test_flags_equal_per_sample_checks(self, geometry, primitives):
+        rng = random.Random(f"sweep-{geometry.length}")
+        table, sweep = self._table(geometry, primitives)
+        exact_hits = flagged_only = 0
+        for n in range(150):
+            scale = 400.0 if n % 3 == 0 else 20.0
+            parent = Pose(rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-4, 4))
+            samples = [
+                advance_arc(parent, gear, curvature, ds)
+                for (gear, curvature, _), distances in table
+                for ds in distances
+            ]
+            pts = [
+                (parent.x + rng.uniform(-7, 7), parent.y + rng.uniform(-7, 7))
+                for _ in range(rng.randrange(0, 8))
+            ]
+            pts += self._edge_points(rng, rng.choice(samples), geometry, 1)
+            obstacles = ObstacleSet(pts)
+            hits = sweep.hits(parent, obstacles) or [False] * len(samples)
+            for pose, flagged in zip(samples, hits):
+                exact = vehicle_collides(pose, geometry, obstacles)
+                assert flagged or not exact, (n, pose)
+                exact_hits += exact
+                if flagged and not exact:
+                    flagged_only += 1
+                    near = [
+                        world_to_body(pose, p) for p in pts
+                        if point_in_rectangle(world_to_body(pose, p), inflated(geometry, 2e-6))
+                    ]
+                    assert near, (n, pose)
+        assert exact_hits > 1000 and flagged_only > 50
+
+    def test_no_points_near_flags_nothing(self):
+        table, sweep = self._table(CAR, MotionPrimitiveSet().table(CAR.wheelbase))
+        obstacles = ObstacleSet([(40.0, 40.0)])
+        assert sweep.hits(Pose(0.0, 0.0, 0.3), obstacles) is None
+        assert sweep.hits(Pose(0.0, 0.0, 0.3), ObstacleSet([])) is None
+
+
+def inflated(geometry, margin):
+    """`geometry` grown by `margin` on every side."""
+    return VehicleGeometry(
+        length=geometry.length + 2 * margin,
+        width=geometry.width + 2 * margin,
+        wheelbase=geometry.wheelbase,
+        rear_overhang=geometry.rear_overhang + margin,
+    )

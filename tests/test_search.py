@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mhhastar import geometry, heuristics, search
 from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
 from mhhastar.grid import CellKey, GridSpec, discretize
+from mhhastar.reeds_shepp import rs_shortest
 from mhhastar.scenario import build_parallel_parking, load_scenario, validate
 from mhhastar.search import (
     OpenList,
@@ -23,10 +24,11 @@ from mhhastar.search import (
     hybrid_a_star,
     mhha_star,
 )
-from mhhastar.vehicle import Gear, VehicleLimits, advance_arc
+from mhhastar.vehicle import Gear, MotionPrimitiveSet, VehicleLimits, advance_arc
 
 from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
-from oracles import rectangle_corners
+from test_reeds_shepp import bit_identity_cases
+from oracles import point_in_rectangle, rectangle_corners, world_to_body
 
 
 def make_ring(cx, cy, radii=(4.0, 4.15, 4.3), n=720):
@@ -138,6 +140,15 @@ class TestOpenList:
         assert [ol.head(i) for i in range(3)] == [(5.0, a), (9.0, a), (13.0, a)]
         assert ol.evaluations == 2
 
+    def test_push_key_above_the_true_key_is_an_error(self):
+        # A push key must be a lower bound: one above the true key could pop
+        # ahead of a node whose true key is less.
+        ol = self._open(2.0)
+        a = self._node(g=1.0, h=2.0)
+        ol.push(a, 2.5)
+        with pytest.raises(AssertionError, match="above its true key"):
+            ol.head(0)
+
     def test_unreached_nodes_are_never_evaluated(self):
         ol = self._open()
         nodes = [self._node(h=float(k)) for k in range(10)]
@@ -230,6 +241,16 @@ class TestImmediateCases:
         assert r.termination is Termination.NO_SOLUTION
         assert r.path == []
         assert math.isinf(r.path_length)
+
+    def test_no_primitives_is_no_solution_after_one_expansion(self):
+        # An empty steering set leaves the collision sweep with no bodies; a
+        # point near the start still reaches it.
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0), [(3.0, 2.0)])
+        config = dataclasses.replace(sc.search, primitives=MotionPrimitiveSet(0.5, ()))
+        result = mhha_star(sc.start, sc.goal, sc, config)
+        assert (result.termination, result.nodes_expanded, result.iterations) == (
+            Termination.NO_SOLUTION, 1, 1
+        )
 
     def test_blocked_goal_cell_is_no_solution_before_any_expansion(self):
         # With no rear overhang the body ends at the rear axle, so a point
@@ -446,10 +467,46 @@ class TestExpandNode:
         assert [n for n in s.nodes.values() if n.cell == start.cell] == [start]
         assert start.g == 0.0 and start.bp is None
 
+    @staticmethod
+    def _swept_corner_point(sc, at):
+        """Full-lock left, forward: a point just inside the front-right
+        corner, the one farthest from the turning center, of the body `at`
+        meters along the step."""
+        wheelbase = sc.vehicle.wheelbase
+        steer = max(sc.search.primitives.steering_angles)
+        pose = advance_arc(sc.start, Gear.FORWARD, math.tan(steer) / wheelbase, at)
+        corners = rectangle_corners(pose, sc.vehicle)
+        cx = sum(x for x, _ in corners) / 4.0
+        cy = sum(y for _, y in corners) / 4.0
+        x, y = corners[1]  # front right
+        return (x + 1e-4 * (cx - x), y + 1e-4 * (cy - y)), steer
+
+    @staticmethod
+    def _accepted(sc, steer):
+        s, node = make_searcher(sc)
+        s.expand_node(node)
+        return [
+            n for n in s.nodes.values()
+            if n.bp is node and n.cell.gear is Gear.FORWARD and n.step.steering == steer
+        ]
+
+    def test_point_inside_the_body_only_at_one_sample_rejects_the_successor(self):
+        # The point lies in the body at the 0.4 m sample alone: not at the
+        # start, the midpoint, the end, or any other 0.1 m sample.
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        point, steer = self._swept_corner_point(sc, 0.4)
+        curvature = math.tan(steer) / sc.vehicle.wheelbase
+        obstacles = ObstacleSet([point])
+        stations = (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5)
+        poses = [advance_arc(sc.start, Gear.FORWARD, curvature, at) for at in stations]
+        hits = [at for at, pose in zip(stations, poses) if vehicle_collides(pose, sc.vehicle, obstacles)]
+        assert hits == [0.4]
+        assert self._accepted(make_open_scenario(sc.start, sc.goal, [point]), steer) == []
+
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1 (sound swept collision checks): expand_node checks a "
-        "primitive only at its midpoint and end pose",
+        reason="ROADMAP item 8 (an exact swept test): expand_node checks a primitive "
+        "at its 0.1 m samples, and the point lies between two of them",
     )
     def test_body_sweeping_through_a_point_rejects_the_successor(self):
         # Full-lock left, forward: the front-right corner lies farthest from
@@ -481,6 +538,79 @@ class TestExpandNode:
             if n.bp is node and n.cell.gear is Gear.FORWARD and n.step.steering == steer
         ]
         assert accepted == [], "expand_node accepted a primitive whose body sweeps through a point"
+
+
+def swept_fuzz_scenario(rng):
+    """A random vehicle (any valid rear overhang), cell size, heading bins,
+    arc length of 0.8-1.2 m and steering set, among 3-10 clusters of 1-6
+    points, with a start and goal 12 m apart facing anywhere."""
+    length = rng.uniform(1.5, 5.0)
+    wheelbase = rng.uniform(0.5, 0.75) * length
+    vehicle = VehicleGeometry(
+        length, rng.uniform(0.6, 0.5 * length), wheelbase, rng.uniform(0.0, length - wheelbase)
+    )
+    cell = rng.choice((0.2, 0.3, 0.5))
+    primitives = MotionPrimitiveSet(
+        rng.choice((0.8, 1.0, 1.2)),
+        rng.choice(((-0.6, 0.0, 0.6), (-0.6, -0.3, 0.0, 0.3, 0.6))),
+    )
+    points = []
+    for _ in range(rng.randint(3, 10)):
+        cx, cy = rng.uniform(-7, 7), rng.uniform(-5, 5)
+        points += [
+            (cx + rng.uniform(-0.3, 0.3), cy + rng.uniform(-0.3, 0.3))
+            for _ in range(rng.randint(1, 6))
+        ]
+    return build_parallel_parking(
+        workspace=GridSpec(-9.0, 9.0, -6.0, 6.0, cell, rng.choice((16, 36, 72))),
+        vehicle=vehicle,
+        limits=VehicleLimits(phi_max=0.6),
+        spot=None,
+        start=Pose(-6.0, rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)),
+        goal=Pose(6.0, rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)),
+        search=SearchConfig(max_iterations=4000, primitives=primitives),
+        extra_points=points,
+    )
+
+
+class TestSweptCollisionFuzz:
+    def test_every_returned_sample_clears_every_point(self):
+        # A primitive of 0.8-1.2 m adds 8-12 samples to a path. Checking only
+        # its midpoint and end pose returned 5 colliding paths in these plans.
+        plans = 0
+        for seed in range(60):
+            sc = swept_fuzz_scenario(random.Random(seed))
+            if validate(sc):
+                continue
+            try:
+                result = mhha_star(sc.start, sc.goal, sc)
+            except SearchLimitError:
+                continue
+            points = sc.obstacles.points.tolist()
+            for pose, _ in result.path:
+                hits = [q for q in points if point_in_rectangle(world_to_body(pose, q), sc.vehicle)]
+                assert hits == [], (seed, pose)
+            plans += result.found
+        assert plans >= 40
+
+
+class TestPushKeyLowerBound:
+    def test_successor_reeds_shepp_length_is_at_least_parents_less_the_step(self):
+        # A primitive is a feasible path from its parent, so the successor's
+        # shortest Reeds-Shepp length is at least the parent's less the arc
+        # length; the search pushes new nodes on that, less its margin. The
+        # parents, goals and radii are the Reeds-Shepp bit-identity cases,
+        # family bounds included, and each takes every benchmark primitive
+        # at full lock for its radius.
+        worst = math.inf
+        for parent, goal, radius in bit_identity_cases():
+            table = MotionPrimitiveSet().table(radius * math.tan(0.6))
+            floor = rs_shortest(parent, goal, radius).total_length - search.RS_MARGIN * (1.0 + radius)
+            for primitive in table:
+                child = advance_arc(parent, *primitive.arc)
+                slack = rs_shortest(child, goal, radius).total_length - (floor - primitive.arc.length)
+                worst = min(worst, slack)
+        assert worst >= 0.0
 
 
 class TestGoalNode:
@@ -609,12 +739,14 @@ class TestResultInvariants:
     def test_benchmark_anchor_evaluations_pinned(self, benchmark_results):
         # The anchor is evaluated only for nodes that reach a queue's head.
         # Evaluating it for every created or reopened node, as an eager open
-        # list must, took the second count of each case.
+        # list must, took the second count of each case. Pushing on the
+        # holonomic value alone, without the parent's Reeds-Shepp length less
+        # the step, took 1033 / 2340 / 338 / 1350.
         expected = {
-            ("forward", "mhha"): (1033, 2204),
-            ("forward", "hybrid"): (2340, 5033),
-            ("backward", "mhha"): (338, 1391),
-            ("backward", "hybrid"): (1350, 4036),
+            ("forward", "mhha"): (894, 2204),
+            ("forward", "hybrid"): (1743, 5033),
+            ("backward", "mhha"): (329, 1391),
+            ("backward", "hybrid"): (1261, 4036),
         }
         for case, (lazy, eager) in expected.items():
             evaluations = benchmark_results[case].heuristic_evaluations
@@ -670,7 +802,10 @@ class TestResultInvariants:
         # A memo miss filters its square's points from the rows of one range
         # query per MEMO_BLOCK x MEMO_BLOCK block of squares; one query per
         # square made 606/979/488/918 (2,991) in these four plans. Each plan
-        # gets a freshly loaded scenario, so no memo carries over.
+        # gets a freshly loaded scenario, so no memo carries over. The sweep
+        # reads the block around each parent, at a larger reach, so a block
+        # that the start and goal checks filled is queried once more.
+        # Checking each primitive's midpoint and end pose made 64/93/50/92.
         calls = []
         original = ObstacleSet.query
 
@@ -687,12 +822,12 @@ class TestResultInvariants:
                 planner(sc.start, sc.goal, sc)
                 counts[name, planner.__name__] = len(calls)
         assert counts == {
-            ("forward", "mhha_star"): 64,
-            ("forward", "hybrid_a_star"): 93,
-            ("backward", "mhha_star"): 50,
-            ("backward", "hybrid_a_star"): 92,
+            ("forward", "mhha_star"): 61,
+            ("forward", "hybrid_a_star"): 88,
+            ("backward", "mhha_star"): 48,
+            ("backward", "hybrid_a_star"): 86,
         }
-        assert sum(counts.values()) == 299
+        assert sum(counts.values()) == 283
 
     def test_expansion_trace_counts_match(self, benchmark_results):
         for result in benchmark_results.values():
