@@ -192,8 +192,8 @@ class BodySweep:
     center_k, a frame point w lies at (w - center_k) e^(-i theta_k) from that
     center, the real part along the body. Each rectangle is inflated by
     INFLATION, far above the rounding of moving points through the frame
-    instead of straight into each body, so a point that `vehicle_collides`
-    finds in a body is always flagged for it.
+    instead of straight into each body: a flag is a conservative verdict,
+    raised by every point in the body and maybe by one within INFLATION of it.
     """
 
     INFLATION = 1e-6  # [m]

@@ -14,8 +14,8 @@ heads, and so every search decision, are the ones eager keys would give.
 
 A successor is checked for collision at every pose its primitive adds to a
 returned path, SAMPLE_SPACING apart, by coordinate transformation: the
-obstacle points near the parent are moved into its frame once, and tested
-against the body at every sample of every primitive in one pass.
+obstacle points near the parent are moved into its frame once, and any within
+1e-6 m of the body at a sample rejects the successor (`BodySweep`).
 """
 
 from __future__ import annotations
@@ -260,17 +260,14 @@ class _Search:
         self.turning_radius = scenario.limits.turning_radius(self.wheelbase)
 
         self.primitives = config.primitives.table(self.wheelbase)
-        # Per primitive: the index of its first body in `sweep`, and the
-        # distance along it of every pose it adds to a path, end pose first.
-        # The sweep's bodies sit at those poses relative to the primitive's
-        # start.
+        # Per primitive, the slice of the sweep's bodies that sit at the
+        # poses it adds to a path, relative to the primitive's start.
         origin = Pose(0.0, 0.0, 0.0)
-        self.samples: list[tuple[int, list[float]]] = []
+        self.samples: list[slice] = []
         sample_poses: list[Pose] = []
         for primitive in self.primitives:
-            *rest, end = arc_stations(origin, [primitive.arc], SAMPLE_SPACING)
-            stations = [end, *rest]
-            self.samples.append((len(sample_poses), [station[3] for station in stations]))
+            stations = arc_stations(origin, [primitive.arc], SAMPLE_SPACING)
+            self.samples.append(slice(len(sample_poses), len(sample_poses) + len(stations)))
             sample_poses += [advance_arc(*station) for station in stations]
         self.sweep = body_sweep(self.vehicle, tuple(sample_poses))
         self.rs_margin = RS_MARGIN * (1.0 + self.turning_radius)
@@ -305,21 +302,16 @@ class _Search:
         """The least-g goal-cell node, the first inserted among equal g."""
         return min(self.goals, key=attrgetter("g"), default=None)
 
-    def _collides(self, pose: Pose) -> bool:
-        return vehicle_collides(pose, self.vehicle, self.obstacles)
-
     # -- core operations ----------------------------------------------------
 
     def expand_node(self, s: SearchNode) -> None:
         """Remove s from every open queue, close it, and relax its successors.
 
-        A successor is relaxed only if it lowers its cell's g and the body
-        clears the obstacles at every sample of its primitive. A sample is
-        checked with `vehicle_collides` only when the sweep flags a point
-        near its body, so every verdict is the plain per-sample check's.
-        The primitive is a path from s, so a successor's Reeds-Shepp length
-        is at least s's minus the arc length: with the holonomic value, a
-        lower bound of its anchor to push it on."""
+        A successor is relaxed only if it lowers its cell's g and the sweep
+        flags no point within 1e-6 m of the body at any sample of its
+        primitive. The primitive is a path from s, so a successor's
+        Reeds-Shepp length is at least s's minus the arc length: with the
+        holonomic value, a lower bound of its anchor to push it on."""
         s.version += 1  # drops every live heap entry for s
         s.closed = True
         self.expansions += 1
@@ -332,12 +324,10 @@ class _Search:
         # value, so it is the Reeds-Shepp length when above the holonomic value.
         if s.h_anchor is not None and s.h_anchor > self.field.at(s.cell.ix, s.cell.iy):
             rs_floor = s.h_anchor - self.rs_margin
-        for (primitive, end), (first, distances) in zip(
-            successors(s.pose, self.primitives), self.samples
-        ):
+        for (primitive, end), samples in zip(successors(s.pose, self.primitives), self.samples):
             if not self.spec.contains(end.x, end.y):
                 continue
-            gear, curvature, length = primitive.arc
+            gear, _, length = primitive.arc
             cell = discretize(end, gear, self.spec)
             existing = self.nodes.get(cell)
             if existing is not None and existing.closed:
@@ -348,11 +338,7 @@ class _Search:
             g_new = s.g + step_cost(primitive, s.step, self.config.penalties)
             if existing is not None and g_new >= existing.g:
                 continue
-            if hits is not None and any(
-                hits[first + k]
-                and self._collides(end if k == 0 else advance_arc(s.pose, gear, curvature, ds))
-                for k, ds in enumerate(distances)
-            ):
+            if hits is not None and any(hits[samples]):
                 continue
             h_lower = max(h_holonomic, rs_floor - length)
             if existing is None:

@@ -468,10 +468,11 @@ class TestExpandNode:
         assert start.g == 0.0 and start.bp is None
 
     @staticmethod
-    def _swept_corner_point(sc, at):
+    def _swept_corner_point(sc, at, outside=None):
         """Full-lock left, forward: a point just inside the front-right
         corner, the one farthest from the turning center, of the body `at`
-        meters along the step."""
+        meters along the step; or, given `outside`, that many meters beyond
+        the corner along the body's diagonal."""
         wheelbase = sc.vehicle.wheelbase
         steer = max(sc.search.primitives.steering_angles)
         pose = advance_arc(sc.start, Gear.FORWARD, math.tan(steer) / wheelbase, at)
@@ -479,7 +480,10 @@ class TestExpandNode:
         cx = sum(x for x, _ in corners) / 4.0
         cy = sum(y for _, y in corners) / 4.0
         x, y = corners[1]  # front right
-        return (x + 1e-4 * (cx - x), y + 1e-4 * (cy - y)), steer
+        if outside is None:
+            return (x + 1e-4 * (cx - x), y + 1e-4 * (cy - y)), steer
+        reach = math.hypot(x - cx, y - cy)
+        return (x + outside * (x - cx) / reach, y + outside * (y - cy) / reach), steer
 
     @staticmethod
     def _accepted(sc, steer):
@@ -502,6 +506,30 @@ class TestExpandNode:
         hits = [at for at, pose in zip(stations, poses) if vehicle_collides(pose, sc.vehicle, obstacles)]
         assert hits == [0.4]
         assert self._accepted(make_open_scenario(sc.start, sc.goal, [point]), steer) == []
+
+    @pytest.mark.parametrize("outside, rejected", [(5e-7, True), (1e-5, False)])
+    def test_point_outside_the_body_at_one_sample_is_rejected_only_within_the_margin(
+        self, outside, rejected
+    ):
+        # The sweep's flag is the verdict, and it flags a point within
+        # BodySweep.INFLATION (1e-6 m) of a body: the point lies that far
+        # outside the body at the 0.4 m sample, more than 1e-5 m from it at
+        # every other sample, and in none of them.
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        point, steer = self._swept_corner_point(sc, 0.4, outside)
+        curvature = math.tan(steer) / sc.vehicle.wheelbase
+        vehicle = sc.vehicle
+        gaps = {}
+        for at in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
+            bx, by = world_to_body(advance_arc(sc.start, Gear.FORWARD, curvature, at), point)
+            gaps[at] = math.hypot(
+                max(-vehicle.rear_overhang - bx, bx - vehicle.front_extent, 0.0),
+                max(abs(by) - vehicle.width / 2.0, 0.0),
+            )
+        assert gaps.pop(0.4) == pytest.approx(outside, rel=1e-3)
+        assert min(gaps.values()) > 1e-5
+        accepted = self._accepted(make_open_scenario(sc.start, sc.goal, [point]), steer)
+        assert len(accepted) == (0 if rejected else 1)
 
     @pytest.mark.xfail(
         strict=True,
@@ -798,6 +826,26 @@ class TestResultInvariants:
                 planner(sc.start, sc.goal, sc)
         assert tally == {"tries": 754, "successes": 4, "pose_checks": 2569}
 
+    def test_search_checks_only_the_start_and_goal_in_the_world_frame(
+        self, forward_scenario, backward_scenario, monkeypatch
+    ):
+        # expand_node takes the sweep's flag as its verdict, so the only
+        # world-frame checks the search module makes are the start and goal
+        # checks of `input_problems`. Confirming each flagged sample with an
+        # exact check made 1,101 in these four plans.
+        calls = []
+        original = search.vehicle_collides
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(search, "vehicle_collides", counted)
+        for sc in (forward_scenario, backward_scenario):
+            for planner in (mhha_star, hybrid_a_star):
+                planner(sc.start, sc.goal, sc)
+        assert len(calls) == 8
+
     def test_range_queries_pinned(self, monkeypatch):
         # A memo miss filters its square's points from the rows of one range
         # query per MEMO_BLOCK x MEMO_BLOCK block of squares; one query per
@@ -806,6 +854,9 @@ class TestResultInvariants:
         # reads the block around each parent, at a larger reach, so a block
         # that the start and goal checks filled is queried once more.
         # Checking each primitive's midpoint and end pose made 64/93/50/92.
+        # Confirming each sample the sweep flags with an exact check made
+        # 61/88/48/86: it read the memo blocks around sample body centers
+        # that no parent's sweep block covered.
         calls = []
         original = ObstacleSet.query
 
@@ -822,12 +873,12 @@ class TestResultInvariants:
                 planner(sc.start, sc.goal, sc)
                 counts[name, planner.__name__] = len(calls)
         assert counts == {
-            ("forward", "mhha_star"): 61,
-            ("forward", "hybrid_a_star"): 88,
-            ("backward", "mhha_star"): 48,
-            ("backward", "hybrid_a_star"): 86,
+            ("forward", "mhha_star"): 58,
+            ("forward", "hybrid_a_star"): 86,
+            ("backward", "mhha_star"): 47,
+            ("backward", "hybrid_a_star"): 84,
         }
-        assert sum(counts.values()) == 283
+        assert sum(counts.values()) == 275
 
     def test_expansion_trace_counts_match(self, benchmark_results):
         for result in benchmark_results.values():
