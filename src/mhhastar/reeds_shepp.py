@@ -25,11 +25,10 @@ generates every word only for that last ranking.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .geometry import Pose, normalize_angle
-from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_steps, bisection_order
+from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_stations, bisection_order
 
 
 @dataclass(frozen=True)
@@ -318,26 +317,14 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
 
 def rs_collision_free(path: RSPath, start: Pose, geometry, obstacles) -> bool:
     """True iff the vehicle clears the obstacles at every pose `arc_poses`
-    samples SAMPLE_SPACING apart. Visits them in bisection order (start,
-    middle, quarters, ...), builds each pose only when it is visited, and
-    returns False at the first colliding one."""
+    samples: the start, then each station of `arc_stations`. Visits them in
+    bisection order (start, middle, quarters, ...), builds each pose only
+    when it is visited, and returns False at the first colliding one."""
     from .geometry import vehicle_collides
 
-    # Per arc, its start pose and the number of poses up to its end.
-    starts, ends = [], []
-    pose, count = start, 0
-    for arc in path.segments:
-        starts.append(pose)
-        count += arc_steps(arc.length, SAMPLE_SPACING)
-        ends.append(count)
-        pose = advance_arc(pose, *arc)
-    for k in bisection_order(count + 1):
-        pose = start
-        if k:
-            i = bisect_left(ends, k)
-            gear, curvature, length = path.segments[i]
-            ds = length if k == ends[i] else (k - (ends[i - 1] if i else 0)) * SAMPLE_SPACING
-            pose = advance_arc(starts[i], gear, curvature, ds)
+    stations = arc_stations(start, path.segments, SAMPLE_SPACING)
+    for k in bisection_order(len(stations) + 1):
+        pose = advance_arc(*stations[k - 1]) if k else start
         if vehicle_collides(pose, geometry, obstacles):
             return False
     return True

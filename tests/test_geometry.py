@@ -387,13 +387,13 @@ class TestBodySweep:
 
     @staticmethod
     def _table(geometry, primitives):
-        """Per primitive, its arc and the stations of its samples, end first,
-        and the sweep over every sample's pose relative to its start."""
+        """Per primitive, its arc and the distances of its samples in
+        `arc_stations` order, as the search's table holds them, and the sweep
+        over every sample's pose relative to its start."""
         origin = Pose(0.0, 0.0, 0.0)
         table, poses = [], []
         for primitive in primitives:
-            *rest, end = arc_stations(origin, [primitive.arc], 0.1)
-            stations = [end, *rest]
+            stations = arc_stations(origin, [primitive.arc], 0.1)
             table.append((primitive.arc, [station[3] for station in stations]))
             poses += [advance_arc(*station) for station in stations]
         return table, BodySweep(geometry, poses)

@@ -272,9 +272,22 @@ class TestBisectionOrderCheck:
         monkeypatch.setattr(mhhastar.geometry, "vehicle_collides", record)
         rng = random.Random(110)
         starts = [Pose(-0.0, -0.0, -0.0), Pose(0.0, -0.0, math.pi)]
-        for i in range(200):
-            start = starts[i] if i < len(starts) else random_pose(rng, 3)
-            path = random_word(rng, i % 6)
+        cases = [
+            (starts[i] if i < len(starts) else random_pose(rng, 3), random_word(rng, i % 6))
+            for i in range(200)
+        ]
+        # The arc lengths TestArcPoses pins for arc_poses (0.6 / 0.1 rounds
+        # below 6; 0.50000000005 lies within the 1e-9 slack of 0.5), one
+        # spacing and half of one, in words of either gear and of both;
+        # random_word draws uniform lengths and never hits them.
+        for gears in ("FFFF", "RRRR", "FRFR", "RFRF"):
+            for lengths in ((0.6, 0.50000000005, 0.1, 0.05), (0.05, 0.1, 0.50000000005, 0.6)):
+                arcs = tuple(
+                    Arc(Gear.FORWARD if gear == "F" else Gear.REVERSE, curvature, length)
+                    for gear, curvature, length in zip(gears, (1 / 3, -1 / 3, 0.0, 1 / 3), lengths)
+                )
+                cases.append((Pose(1.0, -2.0, 0.3), RSPath(arcs, sum(lengths))))
+        for start, path in cases:
             visited.clear()
             assert rs_collision_free(path, start, self.CAR, ObstacleSet([]))
             samples = [repr(pose) for pose, _ in arc_poses(start, path.segments, 0.1)]
