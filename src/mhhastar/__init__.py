@@ -33,10 +33,8 @@ from .search import (
 from .vehicle import (
     Arc,
     Gear,
-    MotionPrimitiveSet,
     PenaltyConfig,
     Primitive,
-    VehicleLimits,
     arc_poses,
     step_cost,
     successors,

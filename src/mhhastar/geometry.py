@@ -56,15 +56,19 @@ class Pose:
 
 @dataclass(frozen=True)
 class VehicleGeometry:
-    """Rectangular vehicle body; rear_overhang is the distance from the
-    rear-axle midpoint back to the rectangle's rear edge."""
+    """Rectangular vehicle body and steering limit: rear_overhang is the
+    distance from the rear-axle midpoint back to the rectangle's rear edge,
+    and phi_max, the largest steering angle, sets the turning radius."""
 
     length: float
     width: float
     wheelbase: float
     rear_overhang: float
+    phi_max: float = 0.6
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.phi_max < math.pi / 2.0:
+            raise ValueError("phi_max must lie in (0, pi/2)")
         if not (self.length > 0.0 and math.isfinite(self.length)):
             raise ValueError("length must be positive and finite")
         if not (self.width > 0.0 and math.isfinite(self.width)):
@@ -83,6 +87,11 @@ class VehicleGeometry:
     def body_center_x(self) -> float:
         """Body-frame x of the rectangle center."""
         return self.length / 2.0 - self.rear_overhang
+
+    @property
+    def turning_radius(self) -> float:
+        """Minimum turning radius at full steering lock."""
+        return self.wheelbase / math.tan(self.phi_max)
 
 
 def body_to_world(vehicle_pose: Pose, body_point: Point) -> Point:

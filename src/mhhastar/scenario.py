@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import ObstacleSet, Pose, VehicleGeometry
 from .grid import GridSpec
 from .search import SearchConfig, input_problems
-from .vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
+from .vehicle import PenaltyConfig
 
 WALL_POINT_SPACING = 0.1  # [m] between sampled wall points
 
@@ -52,7 +52,6 @@ class Scenario:
     start: Pose
     goal: Pose
     vehicle: VehicleGeometry
-    limits: VehicleLimits
     search: SearchConfig = field(default_factory=SearchConfig)
     wall_count: int = 0  # obstacle points before the extra points
 
@@ -109,7 +108,6 @@ def build_parallel_parking(
     *,
     workspace: GridSpec,
     vehicle: VehicleGeometry,
-    limits: VehicleLimits,
     spot: SpotSpec | None,
     start: Pose,
     goal: Pose,
@@ -132,7 +130,6 @@ def build_parallel_parking(
         start=start,
         goal=goal,
         vehicle=vehicle,
-        limits=limits,
         search=search if search is not None else SearchConfig(),
         wall_count=len(walls),
     )
@@ -195,10 +192,10 @@ def _points(value, where: str) -> np.ndarray:
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def _defaults(*classes) -> dict:
+def _defaults(cls) -> dict:
     """Declared field defaults; a key that has none is required."""
     out = {}
-    for f in (f for cls in classes for f in fields(cls)):
+    for f in fields(cls):
         if f.default is not MISSING:
             out[f.name] = f.default
         elif f.default_factory is not MISSING:
@@ -214,13 +211,13 @@ _SCHEMA = {
         "x_min": _number, "x_max": _number, "y_min": _number, "y_max": _number,
         "cell_size": _number, "heading_bins": _integer,
     }),
-    "vehicle": (_defaults(VehicleGeometry, VehicleLimits), {
+    "vehicle": (_defaults(VehicleGeometry), {
         "length": _number, "width": _number, "wheelbase": _number,
         "rear_overhang": _number, "phi_max": _number,
     }),
     "start": _POSE,
     "goal": _POSE,
-    "search": (_defaults(SearchConfig, MotionPrimitiveSet), {
+    "search": (_defaults(SearchConfig), {
         "omega_factor": _number, "setvalue": _integer, "max_iterations": _integer,
         "inflation_factors": _numbers, "penalties": "search.penalties",
         "arc_length": _number, "steering_angles": _numbers,
@@ -275,32 +272,26 @@ def scenario_from_dict(data: dict) -> Scenario:
         if name not in data:
             raise ScenarioError(f"scenario.{name}: missing required section")
     workspace = _build("workspace", GridSpec, **_read(data["workspace"], "workspace"))
-    v = _read(data["vehicle"], "vehicle")
-    limits = _build("vehicle", VehicleLimits, phi_max=v.pop("phi_max"))
-    vehicle = _build("vehicle", VehicleGeometry, **v)
+    vehicle = _build("vehicle", VehicleGeometry, **_read(data["vehicle"], "vehicle"))
     spot = _build("spot", SpotSpec, **_read(data["spot"], "spot")) if "spot" in data else None
     start = Pose(**_read(data["start"], "start"))
     goal = Pose(**_read(data["goal"], "goal"))
     s = _read(data.get("search", {}), "search")
     penalties = PenaltyConfig(**s.pop("penalties"))
-    primitives = _build(
-        "search", MotionPrimitiveSet,
-        arc_length=s.pop("arc_length"), steering_angles=s.pop("steering_angles"),
-    )
     return _build(
         "spot", build_parallel_parking,
-        workspace=workspace, vehicle=vehicle, limits=limits, spot=spot, start=start, goal=goal,
-        search=SearchConfig(**s, penalties=penalties, primitives=primitives),
+        workspace=workspace, vehicle=vehicle, spot=spot, start=start, goal=goal,
+        search=SearchConfig(**s, penalties=penalties),
         extra_points=_read(data.get("obstacles", {}), "obstacles")["extra_points"],
     )
 
 
-def _write(section: str, *sources) -> dict:
-    """One section in file order; each key is read from the first source
-    object that has it."""
+def _write(section: str, source) -> dict:
+    """One section in file order, each key read from the object that holds
+    the section."""
     out = {}
     for key, reader in _SCHEMA[section][1].items():
-        value = next(getattr(src, key) for src in sources if hasattr(src, key))
+        value = getattr(source, key)
         out[key] = _write(reader, value) if isinstance(reader, str) else _plain(value)
     return out
 
@@ -311,17 +302,16 @@ def _plain(value):
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    cfg = scenario.search
     sources = {
-        "workspace": (scenario.workspace,),
-        "vehicle": (scenario.vehicle, scenario.limits),
-        "start": (scenario.start,),
-        "goal": (scenario.goal,),
-        "search": (cfg, cfg.primitives),
-        "obstacles": (scenario,),
-        "spot": (scenario.spot,),
+        "workspace": scenario.workspace,
+        "vehicle": scenario.vehicle,
+        "start": scenario.start,
+        "goal": scenario.goal,
+        "search": scenario.search,
+        "obstacles": scenario,
+        "spot": scenario.spot,
     }
-    return {name: _write(name, *objs) for name, objs in sources.items() if objs[0] is not None}
+    return {name: _write(name, obj) for name, obj in sources.items() if obj is not None}
 
 
 def load_scenario(path) -> Scenario:

@@ -37,13 +37,13 @@ from .vehicle import (
     SAMPLE_SPACING,
     Arc,
     Gear,
-    MotionPrimitiveSet,
     PenaltyConfig,
     Primitive,
     advance_arc,
     arc_poses,
     arc_stations,
     arc_steps,
+    primitive_table,
     step_cost,
     successors,
 )
@@ -133,16 +133,18 @@ class OpenList:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Planner knobs. Their rules live in `input_problems` alone, next to the
-    ones that need the workspace and the vehicle: the planners raise on
-    every problem it lists, and `scenario.validate` returns the list."""
+    """Planner knobs, the motion primitives' arc length and steering angles
+    among them. Their rules live in `input_problems` alone, next to the ones
+    that need the workspace and the vehicle: the planners raise on every
+    problem it lists, and `scenario.validate` returns the list."""
 
     omega_factor: float = 2.0
     setvalue: int = 5
     max_iterations: int = 200_000
     penalties: PenaltyConfig = field(default_factory=PenaltyConfig)
-    primitives: MotionPrimitiveSet = field(default_factory=MotionPrimitiveSet)
     inflation_factors: tuple[float, ...] = (2.0,)
+    arc_length: float = 0.5
+    steering_angles: tuple[float, ...] = (-0.6, 0.0, 0.6)
 
 
 @dataclass
@@ -197,7 +199,8 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
     """Every rule the planner input breaks, empty when the planners accept
     it: the endpoints, the obstacle points, the config, and the primitives
     against the grid and the steering limit. Each test is written as "ok"
-    so that NaN fails it."""
+    so that NaN fails it, but for the arc length's +inf test, which leaves
+    NaN to the diagonal test so that NaN reads one problem."""
     ws = scenario.workspace
     out = []
     for name, pose in (("start", start), ("goal", goal)):
@@ -214,9 +217,9 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
         for px, py in scenario.obstacles.points[~inside].tolist()
     ]
     pen = config.penalties
-    prim = config.primitives
+    arc_length = config.arc_length
     diag = ws.cell_size * math.sqrt(2.0)
-    phi_max = scenario.limits.phi_max
+    phi_max = scenario.vehicle.phi_max
     checks = [
         (config.omega_factor >= 1.0, "omega_factor < 1"),
         (config.setvalue >= 1, "setvalue < 1"),
@@ -230,13 +233,11 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
             (getattr(pen, name) >= 0.0, f"penalties.{name} < 0")
             for name in ("switchback", "steer_change", "steer_hold")
         ),
-        (
-            prim.arc_length > diag,
-            f"arc_length {prim.arc_length} does not exceed the cell diagonal {diag:.4f}",
-        ),
+        (arc_length > diag, f"arc_length {arc_length} does not exceed the cell diagonal {diag:.4f}"),
+        (arc_length != math.inf, f"arc_length {arc_length} is not finite"),
         *(
             (abs(steer) <= phi_max, f"steering angle {steer} exceeds phi_max {phi_max}")
-            for steer in prim.steering_angles
+            for steer in config.steering_angles
         ),
     ]
     return out + [message for ok, message in checks if not ok]
@@ -257,9 +258,9 @@ class _Search:
         self.obstacles: ObstacleSet = scenario.obstacles
         self.vehicle: VehicleGeometry = scenario.vehicle
         self.wheelbase = scenario.vehicle.wheelbase
-        self.turning_radius = scenario.limits.turning_radius(self.wheelbase)
+        self.turning_radius = scenario.vehicle.turning_radius
 
-        self.primitives = config.primitives.table(self.wheelbase)
+        self.primitives = primitive_table(config.arc_length, config.steering_angles, self.wheelbase)
         # Per primitive, the slice of the sweep's bodies that sit at the
         # poses it adds to a path, relative to the primitive's start.
         origin = Pose(0.0, 0.0, 0.0)

@@ -1,6 +1,6 @@
-"""Single-track kinematics, physical limits, the discrete motion primitives
-that generate search successors, and the sampler that turns a chain of arcs
-into path poses."""
+"""Single-track kinematics, the discrete motion primitives that generate
+search successors and their step cost, and the sampler that turns a chain of
+arcs into path poses."""
 
 from __future__ import annotations
 
@@ -25,43 +25,6 @@ class Gear(IntEnum):
     @property
     def label(self) -> str:
         return "F" if self is Gear.FORWARD else "R"
-
-
-@dataclass(frozen=True)
-class VehicleLimits:
-    """Steering bound; the geometric search is limited by phi_max alone."""
-
-    phi_max: float = 0.6
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.phi_max < math.pi / 2.0:
-            raise ValueError("phi_max must lie in (0, pi/2)")
-
-    def turning_radius(self, wheelbase: float) -> float:
-        """Minimum turning radius at full steering lock."""
-        return wheelbase / math.tan(self.phi_max)
-
-
-@dataclass(frozen=True)
-class MotionPrimitiveSet:
-    """One expansion step per (gear, steering) combination."""
-
-    arc_length: float = 0.5
-    steering_angles: tuple[float, ...] = (-0.6, 0.0, 0.6)
-
-    def __post_init__(self) -> None:
-        if not (self.arc_length > 0.0 and math.isfinite(self.arc_length)):
-            raise ValueError("arc_length must be positive and finite")
-
-    def table(self, wheelbase: float) -> tuple[Primitive, ...]:
-        """Every primitive, forward gears before reverse, steering angles in
-        listed order; each drives arc_length at curvature tan(steering) /
-        wheelbase."""
-        return tuple(
-            Primitive(steer, Arc(gear, math.tan(steer) / wheelbase, self.arc_length))
-            for gear in (Gear.FORWARD, Gear.REVERSE)
-            for steer in self.steering_angles
-        )
 
 
 @dataclass(frozen=True)
@@ -115,6 +78,19 @@ class Primitive(NamedTuple):
 
     steering: float
     arc: Arc
+
+
+def primitive_table(
+    arc_length: float, steering_angles: Sequence[float], wheelbase: float
+) -> tuple[Primitive, ...]:
+    """One primitive per (gear, steering) pair, forward gears before reverse,
+    steering angles in listed order; each drives arc_length at curvature
+    tan(steering) / wheelbase."""
+    return tuple(
+        Primitive(steer, Arc(gear, math.tan(steer) / wheelbase, arc_length))
+        for gear in (Gear.FORWARD, Gear.REVERSE)
+        for steer in steering_angles
+    )
 
 
 def arc_steps(length: float, spacing: float) -> int:

@@ -15,13 +15,12 @@ from mhhastar import (
     Pose,
     SearchConfig,
     VehicleGeometry,
-    VehicleLimits,
     hybrid_a_star,
     mhha_star,
 )
 from mhhastar.grid import build_occupancy, dijkstra_field
 from mhhastar.scenario import build_parallel_parking, load_scenario
-from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig
+from mhhastar.vehicle import PenaltyConfig
 
 from oracles import uniform_cost_over_primitives
 
@@ -62,8 +61,7 @@ def make_open_scenario(start, goal, points=(), *, size=15.0, cell=0.3, bins=72):
     as extra_points so the scenario survives a save/load round trip."""
     return build_parallel_parking(
         workspace=GridSpec(-size, size, -size, size, cell, bins),
-        vehicle=VehicleGeometry(4.7, 2.0, 2.7, 1.0),
-        limits=VehicleLimits(phi_max=0.6),
+        vehicle=VehicleGeometry(4.7, 2.0, 2.7, 1.0, phi_max=0.6),
         spot=None,
         start=start,
         goal=goal,
@@ -98,15 +96,13 @@ def make_coarse_scenario(setvalue=10**9):
         penalties=PenaltyConfig(
             reverse_mult=1.0, switchback=1.0, steer_change=15.0, steer_hold=2.0
         ),
-        primitives=MotionPrimitiveSet(
-            arc_length=1.0, steering_angles=(0.0, -COARSE_PHI, COARSE_PHI)
-        ),
         inflation_factors=(2.0,),
+        arc_length=1.0,
+        steering_angles=(0.0, -COARSE_PHI, COARSE_PHI),
     )
     return build_parallel_parking(
         workspace=GridSpec(0.0, 6.0, 0.0, 6.0, 0.5, 8),
-        vehicle=VehicleGeometry(0.4, 0.2, 0.2, 0.1),
-        limits=VehicleLimits(phi_max=COARSE_PHI),
+        vehicle=VehicleGeometry(0.4, 0.2, 0.2, 0.1, phi_max=COARSE_PHI),
         spot=None,
         start=Pose(0.75, 3.25, 0.0),
         goal=Pose(4.75, 3.25, 0.0),

@@ -30,7 +30,7 @@ from mhhastar.reeds_shepp import (
     _verified,
 )
 from mhhastar.scenario import ScenarioError, _number
-from mhhastar.vehicle import Gear, advance_arc, step_cost, successors
+from mhhastar.vehicle import Gear, advance_arc, primitive_table, step_cost, successors
 
 
 def world_to_body(vehicle_pose, world_point):
@@ -379,8 +379,9 @@ def uniform_cost_over_primitives(scenario, start_pose, start_gear=Gear.FORWARD):
     """Plain Dijkstra over the primitive graph with cell deduplication and no
     heuristics; returns {CellKey: (g, pose)} for every settled state."""
     spec = scenario.workspace
-    table = scenario.search.primitives.table(scenario.vehicle.wheelbase)
-    penalties = scenario.search.penalties
+    config = scenario.search
+    table = primitive_table(config.arc_length, config.steering_angles, scenario.vehicle.wheelbase)
+    penalties = config.penalties
 
     start_cell = CellKey(
         *spec.cell_of(start_pose.x, start_pose.y),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -147,6 +148,20 @@ class TestValidateCommand:
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert "omega_factor < 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arc_length", [0.0, -1.0])
+    def test_non_positive_arc_length_loads_and_is_refused(
+        self, arc_length, tmp_path, forward_file, capsys
+    ):
+        # the loader takes any finite number; the arc length's rule is
+        # `validate`'s, as every search config rule is
+        data = json.loads(forward_file.read_text())
+        data["search"]["arc_length"] = arc_length
+        bad = tmp_path / "invalid.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"arc_length {arc_length} does not exceed the cell diagonal 0.4243" in err
+
 
 class TestCompare:
     def test_compare_outputs(self, forward_file, tmp_path, capsys):
@@ -280,3 +295,13 @@ def test_benchmark_outputs_byte_identical(forward_scenario, backward_scenario, b
         svg = render_svg(scenarios[case[0]], result)
         assert hashlib.sha256(path_lines(result).encode()).hexdigest() == path_sha, case
         assert hashlib.sha256(svg.encode()).hexdigest() == svg_sha, case
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    # the fenced python block under "## Library", run from the repo root
+    root = SCENARIOS.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("Termination.")

@@ -18,7 +18,7 @@ from mhhastar.geometry import (
     vehicle_collides,
 )
 from mhhastar.scenario import load_scenario
-from mhhastar.vehicle import MotionPrimitiveSet, advance_arc, arc_stations
+from mhhastar.vehicle import advance_arc, arc_stations, primitive_table
 
 from conftest import SCENARIOS
 from oracles import point_in_rectangle, polygon_contains, rectangle_corners, world_to_body
@@ -415,10 +415,10 @@ class TestBodySweep:
     @pytest.mark.parametrize(
         "geometry, primitives",
         [
-            (CAR, MotionPrimitiveSet().table(CAR.wheelbase)),
+            (CAR, primitive_table(0.5, (-0.6, 0.0, 0.6), CAR.wheelbase)),
             (
                 VehicleGeometry(length=2.2, width=1.1, wheelbase=1.4, rear_overhang=0.3),
-                MotionPrimitiveSet(1.2, (-0.6, -0.3, 0.0, 0.3, 0.6)).table(1.4),
+                primitive_table(1.2, (-0.6, -0.3, 0.0, 0.3, 0.6), 1.4),
             ),
         ],
     )
@@ -455,7 +455,7 @@ class TestBodySweep:
         assert exact_hits > 1000 and flagged_only > 50
 
     def test_no_points_near_flags_nothing(self):
-        table, sweep = self._table(CAR, MotionPrimitiveSet().table(CAR.wheelbase))
+        table, sweep = self._table(CAR, primitive_table(0.5, (-0.6, 0.0, 0.6), CAR.wheelbase))
         obstacles = ObstacleSet([(40.0, 40.0)])
         assert sweep.hits(Pose(0.0, 0.0, 0.3), obstacles) is None
         assert sweep.hits(Pose(0.0, 0.0, 0.3), ObstacleSet([])) is None

@@ -30,7 +30,7 @@ from mhhastar.scenario import (
     validate,
 )
 from mhhastar.search import SearchConfig, hybrid_a_star, mhha_star
-from mhhastar.vehicle import MotionPrimitiveSet, PenaltyConfig, VehicleLimits
+from mhhastar.vehicle import PenaltyConfig
 
 from conftest import SCENARIOS as BUNDLED
 from oracles import points_loop
@@ -47,7 +47,7 @@ def _forward_data() -> dict:
 def _spot_at(center_x):
     sc = load_scenario(BUNDLED / "forward_parking.json")
     return build_parallel_parking(
-        workspace=sc.workspace, vehicle=sc.vehicle, limits=sc.limits,
+        workspace=sc.workspace, vehicle=sc.vehicle,
         spot=SpotSpec(3.0, 7.2, center_x), start=sc.start, goal=sc.goal,
     )
 
@@ -97,10 +97,8 @@ def search_configs(draw):
             steer_change=draw(finite),
             steer_hold=draw(finite),
         ),
-        primitives=MotionPrimitiveSet(
-            arc_length=draw(st.floats(min_value=1e-6, max_value=1e6)),
-            steering_angles=tuple(draw(st.lists(finite, max_size=5))),
-        ),
+        arc_length=draw(st.floats(min_value=1e-6, max_value=1e6)),
+        steering_angles=tuple(draw(st.lists(finite, max_size=5))),
         inflation_factors=tuple(draw(st.lists(finite, max_size=4))),
     )
 
@@ -112,13 +110,12 @@ def search_configs(draw):
         pytest.param(lambda: VehicleGeometry(4.7, NAN, 2.7, 1.0), id="vehicle.width"),
         pytest.param(lambda: VehicleGeometry(4.7, 2.0, NAN, 1.0), id="vehicle.wheelbase"),
         pytest.param(lambda: VehicleGeometry(4.7, 2.0, 2.7, NAN), id="vehicle.rear_overhang"),
-        pytest.param(lambda: VehicleLimits(phi_max=NAN), id="vehicle.phi_max"),
+        pytest.param(lambda: VehicleGeometry(4.7, 2.0, 2.7, 1.0, NAN), id="vehicle.phi_max"),
         pytest.param(lambda: GridSpec(NAN, 21.0, -1.0, 11.0), id="workspace.x_min"),
         pytest.param(lambda: GridSpec(-21.0, NAN, -1.0, 11.0), id="workspace.x_max"),
         pytest.param(lambda: GridSpec(-21.0, 21.0, NAN, 11.0), id="workspace.y_min"),
         pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, NAN), id="workspace.y_max"),
         pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, 11.0, NAN), id="workspace.cell_size"),
-        pytest.param(lambda: MotionPrimitiveSet(arc_length=NAN), id="search.arc_length"),
         pytest.param(lambda: SpotSpec(NAN, 7.2, 0.0), id="spot.depth"),
         pytest.param(lambda: SpotSpec(3.0, NAN, 0.0), id="spot.length"),
         pytest.param(lambda: _spot_at(NAN), id="spot.center_x"),
@@ -129,7 +126,6 @@ def search_configs(draw):
         pytest.param(lambda: GridSpec(-21.0, 21.0, -INF, 11.0), id="workspace.y_min-inf"),
         pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, INF), id="workspace.y_max-inf"),
         pytest.param(lambda: GridSpec(-21.0, 21.0, -1.0, 11.0, INF), id="workspace.cell_size-inf"),
-        pytest.param(lambda: MotionPrimitiveSet(arc_length=INF), id="search.arc_length-inf"),
         pytest.param(lambda: SpotSpec(INF, 7.2, 0.0), id="spot.depth-inf"),
         pytest.param(lambda: SpotSpec(3.0, INF, 0.0), id="spot.length-inf"),
         pytest.param(lambda: SpotSpec(3.0, 7.2, INF), id="spot.center_x-inf"),
@@ -138,7 +134,9 @@ def search_configs(draw):
 )
 def test_nan_value_rejected(make):
     # each rule is written in the "ok" form, so that NaN fails it; an
-    # infinite value fails at construction too
+    # infinite value fails at construction too. The search config's rules,
+    # arc_length's among them, are `input_problems` rows (INPUT_RULES in
+    # test_search).
     with pytest.raises(ValueError):
         make()
 
@@ -184,8 +182,7 @@ class TestBuild:
             build_parallel_parking(
                 workspace=forward_scenario.workspace,
                 vehicle=forward_scenario.vehicle,
-                limits=forward_scenario.limits,
-                spot=SpotSpec(3.0, 100.0, 0.0),
+                    spot=SpotSpec(3.0, 100.0, 0.0),
                 start=forward_scenario.start,
                 goal=forward_scenario.goal,
             )
@@ -224,10 +221,7 @@ class TestValidate:
         assert any("reverse_mult" in v for v in validate(bad))
 
     def test_steering_beyond_lock(self, forward_scenario):
-        prim = dataclasses.replace(
-            forward_scenario.search.primitives, steering_angles=(-0.9, 0.0, 0.9)
-        )
-        cfg = dataclasses.replace(forward_scenario.search, primitives=prim)
+        cfg = dataclasses.replace(forward_scenario.search, steering_angles=(-0.9, 0.0, 0.9))
         bad = dataclasses.replace(forward_scenario, search=cfg)
         assert any("exceeds phi_max" in v for v in validate(bad))
 
@@ -235,7 +229,6 @@ class TestValidate:
         bad = build_parallel_parking(
             workspace=forward_scenario.workspace,
             vehicle=forward_scenario.vehicle,
-            limits=forward_scenario.limits,
             spot=forward_scenario.spot,
             start=forward_scenario.start,
             goal=forward_scenario.goal,
@@ -442,7 +435,6 @@ class TestFiles:
         scenario = build_parallel_parking(
             workspace=forward_scenario.workspace,
             vehicle=forward_scenario.vehicle,
-            limits=forward_scenario.limits,
             spot=SpotSpec(3.0, 7.2, 0.0),
             start=Pose(-9, 8, 0),
             goal=Pose(-1.35, 1.5, 0),
@@ -469,8 +461,7 @@ class TestFiles:
             return build_parallel_parking(
                 workspace=forward_scenario.workspace,
                 vehicle=forward_scenario.vehicle,
-                limits=forward_scenario.limits,
-                spot=forward_scenario.spot,
+                    spot=forward_scenario.spot,
                 start=forward_scenario.start,
                 goal=forward_scenario.goal,
                 extra_points=points,
@@ -495,14 +486,34 @@ class TestFiles:
         assert len(loaded.obstacles) == 1
 
     @pytest.mark.parametrize("name", ["forward_parking.json", "backward_parking.json"])
-    def test_bundled_scenarios_are_valid(self, name):
+    def test_bundled_scenarios_are_valid(self, name, tmp_path):
         bundled = BUNDLED / name
         scenario = load_scenario(bundled)
         assert validate(scenario) == []
         assert scenario_to_dict(scenario) == json.loads(bundled.read_text())
+        # key order too: the saver writes the shipped file back byte for byte
+        saved = tmp_path / name
+        save_scenario(scenario, saved)
+        assert saved.read_bytes() == bundled.read_bytes()
 
 
 class TestSchema:
+    def test_each_section_is_one_dataclass(self, forward_scenario):
+        # a file section's keys are the fields of the one object holding it
+        data = scenario_to_dict(forward_scenario)
+        holders = {
+            ("workspace",): GridSpec,
+            ("vehicle",): VehicleGeometry,
+            ("start",): Pose,
+            ("goal",): Pose,
+            ("search",): SearchConfig,
+            ("search", "penalties"): PenaltyConfig,
+            ("spot",): SpotSpec,
+        }
+        for path, cls in holders.items():
+            section = functools.reduce(operator.getitem, path, data)
+            assert set(section) == {f.name for f in dataclasses.fields(cls)}, path
+
     @settings(max_examples=200, deadline=None)
     @given(config=search_configs())
     def test_round_trip_keeps_every_search_field(self, forward_scenario, config):

@@ -24,7 +24,7 @@ from mhhastar.search import (
     hybrid_a_star,
     mhha_star,
 )
-from mhhastar.vehicle import Gear, MotionPrimitiveSet, VehicleLimits, advance_arc
+from mhhastar.vehicle import Gear, advance_arc, primitive_table
 
 from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
 from test_reeds_shepp import bit_identity_cases
@@ -65,6 +65,8 @@ INPUT_RULES = [
     ({"steer_change": -1.0}, "penalties.steer_change < 0"),
     ({"steer_hold": -1.0}, "penalties.steer_hold < 0"),
     ({"arc_length": 0.4}, "arc_length 0.4 does not exceed the cell diagonal 0.4243"),
+    ({"arc_length": math.nan}, "arc_length nan does not exceed the cell diagonal 0.4243"),
+    ({"arc_length": math.inf}, "arc_length inf is not finite"),
     ({"steering_angles": (-0.6, 0.0, 0.9)}, "steering angle 0.9 exceeds phi_max 0.6"),
 ]
 
@@ -246,7 +248,7 @@ class TestImmediateCases:
         # An empty steering set leaves the collision sweep with no bodies; a
         # point near the start still reaches it.
         sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0), [(3.0, 2.0)])
-        config = dataclasses.replace(sc.search, primitives=MotionPrimitiveSet(0.5, ()))
+        config = dataclasses.replace(sc.search, steering_angles=())
         result = mhha_star(sc.start, sc.goal, sc, config)
         assert (result.termination, result.nodes_expanded, result.iterations) == (
             Termination.NO_SOLUTION, 1, 1
@@ -259,8 +261,7 @@ class TestImmediateCases:
         point = (goal.x - 0.01, goal.y)
         sc = build_parallel_parking(
             workspace=GridSpec(-15.0, 15.0, -15.0, 15.0, 0.3, 72),
-            vehicle=VehicleGeometry(4.7, 2.0, 2.7, 0.0),
-            limits=VehicleLimits(phi_max=0.6),
+            vehicle=VehicleGeometry(4.7, 2.0, 2.7, 0.0, phi_max=0.6),
             spot=None,
             start=Pose(0, 0, 0),
             goal=goal,
@@ -308,8 +309,7 @@ class TestImmediateCases:
         )
         cfg = sc.search
         penalties = _take_fields(cfg.penalties, changes)
-        primitives = _take_fields(cfg.primitives, changes)
-        cfg = dataclasses.replace(cfg, penalties=penalties, primitives=primitives, **changes)
+        cfg = dataclasses.replace(cfg, penalties=penalties, **changes)
         sc = dataclasses.replace(sc, search=cfg)
         assert validate(sc) == [message]
         for plan in (mhha_star, hybrid_a_star):
@@ -424,7 +424,7 @@ class TestExpandNode:
     def test_rediscovery_with_larger_g_keeps_entry(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
-        arc = sc.search.primitives.arc_length
+        arc = sc.search.arc_length
         ahead = Pose(arc, 0.0, 0.0)  # where start's straight step lands
         cell = discretize(ahead, Gear.FORWARD, sc.workspace)
         planted = SearchNode(pose=Pose(arc - 0.01, 0.0, 0.0), step=None, cell=cell, g=0.1, bp=None)
@@ -439,7 +439,7 @@ class TestExpandNode:
     def test_improvement_updates_g_bp_and_pose(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         s, start = make_searcher(sc)
-        arc = sc.search.primitives.arc_length
+        arc = sc.search.arc_length
         ahead = Pose(arc, 0.0, 0.0)
         cell = discretize(ahead, Gear.FORWARD, sc.workspace)
         left, straight = s.primitives[:2]  # forward at -phi, then forward straight
@@ -474,7 +474,7 @@ class TestExpandNode:
         meters along the step; or, given `outside`, that many meters beyond
         the corner along the body's diagonal."""
         wheelbase = sc.vehicle.wheelbase
-        steer = max(sc.search.primitives.steering_angles)
+        steer = max(sc.search.steering_angles)
         pose = advance_arc(sc.start, Gear.FORWARD, math.tan(steer) / wheelbase, at)
         corners = rectangle_corners(pose, sc.vehicle)
         cx = sum(x for x, _ in corners) / 4.0
@@ -542,8 +542,8 @@ class TestExpandNode:
         # point that only poses near 3/4 of the step cover.
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
         geometry, wheelbase = sc.vehicle, sc.vehicle.wheelbase
-        arc = sc.search.primitives.arc_length
-        steer = max(sc.search.primitives.steering_angles)
+        arc = sc.search.arc_length
+        steer = max(sc.search.steering_angles)
         curvature = math.tan(steer) / wheelbase
         start, mid, between, end = (
             advance_arc(sc.start, Gear.FORWARD, curvature, f * arc) for f in (0.0, 0.5, 0.75, 1.0)
@@ -578,10 +578,8 @@ def swept_fuzz_scenario(rng):
         length, rng.uniform(0.6, 0.5 * length), wheelbase, rng.uniform(0.0, length - wheelbase)
     )
     cell = rng.choice((0.2, 0.3, 0.5))
-    primitives = MotionPrimitiveSet(
-        rng.choice((0.8, 1.0, 1.2)),
-        rng.choice(((-0.6, 0.0, 0.6), (-0.6, -0.3, 0.0, 0.3, 0.6))),
-    )
+    arc_length = rng.choice((0.8, 1.0, 1.2))
+    steering_angles = rng.choice(((-0.6, 0.0, 0.6), (-0.6, -0.3, 0.0, 0.3, 0.6)))
     points = []
     for _ in range(rng.randint(3, 10)):
         cx, cy = rng.uniform(-7, 7), rng.uniform(-5, 5)
@@ -592,11 +590,10 @@ def swept_fuzz_scenario(rng):
     return build_parallel_parking(
         workspace=GridSpec(-9.0, 9.0, -6.0, 6.0, cell, rng.choice((16, 36, 72))),
         vehicle=vehicle,
-        limits=VehicleLimits(phi_max=0.6),
         spot=None,
         start=Pose(-6.0, rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)),
         goal=Pose(6.0, rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)),
-        search=SearchConfig(max_iterations=4000, primitives=primitives),
+        search=SearchConfig(max_iterations=4000, arc_length=arc_length, steering_angles=steering_angles),
         extra_points=points,
     )
 
@@ -632,7 +629,7 @@ class TestPushKeyLowerBound:
         # at full lock for its radius.
         worst = math.inf
         for parent, goal, radius in bit_identity_cases():
-            table = MotionPrimitiveSet().table(radius * math.tan(0.6))
+            table = primitive_table(0.5, (-0.6, 0.0, 0.6), radius * math.tan(0.6))
             floor = rs_shortest(parent, goal, radius).total_length - search.RS_MARGIN * (1.0 + radius)
             for primitive in table:
                 child = advance_arc(parent, *primitive.arc)
@@ -937,7 +934,7 @@ class TestResultInvariants:
         sc = make_coarse_scenario()
         r = hybrid_a_star(sc.start, sc.goal, sc)
         assert r.termination is Termination.GOAL_KEY
-        assert r.path_length == pytest.approx(4 * sc.search.primitives.arc_length, abs=1e-9)
+        assert r.path_length == pytest.approx(4 * sc.search.arc_length, abs=1e-9)
 
 
 class TestReconstructPath:
@@ -945,8 +942,7 @@ class TestReconstructPath:
         # 0.6 m hops are not a multiple of the 0.1 m spacing; the replay must
         # still land bit for bit on every pose the search stored.
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
-        primitives = dataclasses.replace(sc.search.primitives, arc_length=0.6)
-        sc = dataclasses.replace(sc, search=dataclasses.replace(sc.search, primitives=primitives))
+        sc = dataclasses.replace(sc, search=dataclasses.replace(sc.search, arc_length=0.6))
         s, node = make_searcher(sc)
         F, R = Gear.FORWARD, Gear.REVERSE
         moves = [(F, 0.6), (F, -0.6), (R, 0.6), (R, 0.0)]

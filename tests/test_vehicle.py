@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhhastar.geometry import Pose, normalize_angle
+from mhhastar.geometry import Pose, VehicleGeometry, normalize_angle
 from mhhastar.vehicle import (
     Arc,
     Gear,
-    MotionPrimitiveSet,
     PenaltyConfig,
     Primitive,
-    VehicleLimits,
     advance_arc,
     arc_poses,
     arc_steps,
     bisection_order,
+    primitive_table,
     step_cost,
     successors,
 )
@@ -25,7 +24,7 @@ from oracles import rk4_arc
 
 WHEELBASE = 2.7
 PHI_MAX = 0.6
-TABLE = MotionPrimitiveSet(arc_length=0.5, steering_angles=(-0.6, 0.0, 0.6)).table(WHEELBASE)
+TABLE = primitive_table(0.5, (-0.6, 0.0, 0.6), WHEELBASE)
 
 
 def arc_step(start, gear, steering, ds):
@@ -40,12 +39,12 @@ class TestGear:
 
 class TestLimits:
     def test_turning_radius(self):
-        limits = VehicleLimits(phi_max=0.6)
-        assert limits.turning_radius(2.7) == pytest.approx(2.7 / math.tan(0.6))
+        vehicle = VehicleGeometry(4.7, 2.0, 2.7, 1.0, phi_max=0.6)
+        assert vehicle.turning_radius == pytest.approx(2.7 / math.tan(0.6))
 
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            VehicleLimits(phi_max=0.0)
+        with pytest.raises(ValueError, match="phi_max"):
+            VehicleGeometry(4.7, 2.0, 2.7, 1.0, phi_max=0.0)
 
 
 class TestArcStep:
@@ -153,8 +152,7 @@ class TestBisectionOrder:
 
 class TestPrimitiveTable:
     def test_forward_before_reverse_in_listed_order(self):
-        primitives = MotionPrimitiveSet(arc_length=0.5, steering_angles=(0.3, -0.6, 0.0))
-        table = primitives.table(WHEELBASE)
+        table = primitive_table(0.5, (0.3, -0.6, 0.0), WHEELBASE)
         assert [(p.arc.gear, p.steering) for p in table] == [
             (gear, steer) for gear in (Gear.FORWARD, Gear.REVERSE) for steer in (0.3, -0.6, 0.0)
         ]
@@ -165,7 +163,7 @@ class TestPrimitiveTable:
     def test_curvature_is_tan_steering_over_wheelbase_bit_for_bit(self):
         for wheelbase in (WHEELBASE, 0.2, 3.1):
             steering = (-0.6, -0.17, 0.0, 1e-9, 0.41, 0.6)
-            table = MotionPrimitiveSet(0.5, steering).table(wheelbase)
+            table = primitive_table(0.5, steering, wheelbase)
             assert [p.arc.curvature for p in table] == [
                 math.tan(s) / wheelbase for _ in Gear for s in steering
             ]
@@ -193,7 +191,7 @@ class TestStepCost:
 
     @staticmethod
     def step(gear, steering, length=1.0):
-        """A primitive as `MotionPrimitiveSet.table` builds it."""
+        """A primitive as `primitive_table` builds it."""
         return Primitive(steering, Arc(gear, math.tan(steering) / WHEELBASE, length))
 
     def test_plain_forward(self):
