@@ -15,10 +15,6 @@ from .geometry import ObstacleSet, Pose
 from .vehicle import Gear
 
 
-class WorkspaceError(ValueError):
-    """A pose or query point lies outside the configured workspace."""
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Planar cell grid plus a heading discretization."""
@@ -56,7 +52,7 @@ class GridSpec:
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Floor-quantized cell indices; the max boundary folds into the last cell."""
         if not self.contains(x, y):
-            raise WorkspaceError(f"({x}, {y}) outside workspace")
+            raise ValueError(f"({x}, {y}) outside workspace")
         ix = min(int(math.floor((x - self.x_min) / self.cell_size)), self.nx - 1)
         iy = min(int(math.floor((y - self.y_min) / self.cell_size)), self.ny - 1)
         return ix, iy
@@ -75,8 +71,8 @@ class CellKey(NamedTuple):
 
 
 def discretize(pose: Pose, gear: Gear, spec: GridSpec) -> CellKey:
-    """Quantize a continuous state onto the grid; raises WorkspaceError
-    outside the workspace (callers prune such successors)."""
+    """Quantize a continuous state onto the grid; raises ValueError outside
+    the workspace (callers prune such successors)."""
     ix, iy = spec.cell_of(pose.x, pose.y)
     return CellKey(ix, iy, spec.heading_bin(pose.theta), gear)
 

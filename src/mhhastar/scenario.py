@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 from itertools import chain
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from .geometry import ObstacleSet, Pose, VehicleGeometry
 from .grid import GridSpec
 from .search import SearchConfig, input_problems
-from .vehicle import PenaltyConfig
 
 WALL_POINT_SPACING = 0.1  # [m] between sampled wall points
 
@@ -192,45 +192,6 @@ def _points(value, where: str) -> np.ndarray:
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def _defaults(cls) -> dict:
-    """Declared field defaults; a key that has none is required."""
-    out = {}
-    for f in fields(cls):
-        if f.default is not MISSING:
-            out[f.name] = f.default
-        elif f.default_factory is not MISSING:
-            out[f.name] = f.default_factory()
-    return out
-
-
-# The file layout, in file order: section -> (defaults, key -> reader). A
-# reader validates and converts one value; a string names a nested section.
-_POSE = (_defaults(Pose), {"x": _number, "y": _number, "theta": _number})
-_SCHEMA = {
-    "workspace": (_defaults(GridSpec), {
-        "x_min": _number, "x_max": _number, "y_min": _number, "y_max": _number,
-        "cell_size": _number, "heading_bins": _integer,
-    }),
-    "vehicle": (_defaults(VehicleGeometry), {
-        "length": _number, "width": _number, "wheelbase": _number,
-        "rear_overhang": _number, "phi_max": _number,
-    }),
-    "start": _POSE,
-    "goal": _POSE,
-    "search": (_defaults(SearchConfig), {
-        "omega_factor": _number, "setvalue": _integer, "max_iterations": _integer,
-        "inflation_factors": _numbers, "penalties": "search.penalties",
-        "arc_length": _number, "steering_angles": _numbers,
-    }),
-    "search.penalties": (_defaults(PenaltyConfig), dict.fromkeys(
-        ("reverse_mult", "switchback", "steer_hold", "steer_change"), _number
-    )),
-    "obstacles": ({"extra_points": ()}, {"extra_points": _points}),
-    "spot": (_defaults(SpotSpec), {"depth": _number, "length": _number, "center_x": _number}),
-}
-_REQUIRED_SECTIONS = ("workspace", "vehicle", "start", "goal")
-
-
 def _check_keys(mapping, allowed, where: str) -> None:
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{where}: expected an object")
@@ -239,27 +200,48 @@ def _check_keys(mapping, allowed, where: str) -> None:
         raise ScenarioError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _read(mapping, section: str) -> dict:
-    """One section's values keyed as in the file, defaults filled in."""
-    defaults, readers = _SCHEMA[section]
-    _check_keys(mapping, readers, section)
-    out = {}
-    for key, reader in readers.items():
-        where = f"{section}.{key}"
-        if isinstance(reader, str):
-            out[key] = _read(mapping.get(key, {}), reader)
-        elif key in mapping:
-            out[key] = reader(mapping[key], where)
-        elif key in defaults:
-            out[key] = defaults[key]
+# A section's dataclass is its schema: its fields, in declared order, are the
+# file's keys in file order, and a field's type picks the reader that
+# validates and converts its value. A dataclass-typed field is a nested section.
+_READERS = {float: _number, int: _integer, tuple[float, ...]: _numbers}
+# The sections in read order; `obstacles`, read last, has no dataclass.
+_SECTIONS = {
+    "workspace": GridSpec, "vehicle": VehicleGeometry, "spot": SpotSpec,
+    "start": Pose, "goal": Pose, "search": SearchConfig,
+}
+_REQUIRED_SECTIONS = ("workspace", "vehicle", "start", "goal")
+
+
+@cache
+def _layout(cls) -> dict:
+    """key -> (reader, default) in field order; a key without a default
+    (MISSING) is required."""
+    hints = get_type_hints(cls)
+    layout = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        reader = partial(_read, hint) if is_dataclass(hint) else _READERS[hint]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        layout[f.name] = (reader, default)
+    return layout
+
+
+def _read(cls, mapping, section: str):
+    """One section as an instance of `cls`, defaults filled in. The first
+    malformed value raises ScenarioError naming its dotted key, and a
+    ValueError of the constructor one naming the section."""
+    layout = _layout(cls)
+    _check_keys(mapping, layout, section)
+    values = {}
+    for key, (reader, default) in layout.items():
+        if key in mapping:
+            values[key] = reader(mapping[key], f"{section}.{key}")
+        elif default is not MISSING:
+            values[key] = default
         else:
-            raise ScenarioError(f"{where}: missing required value")
-    return out
-
-
-def _build(section: str, make, **values):
+            raise ScenarioError(f"{section}.{key}: missing required value")
     try:
-        return make(**values)
+        return cls(**values)
     except ValueError as e:
         raise ScenarioError(f"{section}: {e}") from e
 
@@ -267,51 +249,34 @@ def _build(section: str, make, **values):
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from the documented JSON structure; every malformed
     value raises ScenarioError naming its dotted key."""
-    _check_keys(data, (*_REQUIRED_SECTIONS, "search", "obstacles", "spot"), "scenario")
+    _check_keys(data, (*_SECTIONS, "obstacles"), "scenario")
     for name in _REQUIRED_SECTIONS:
         if name not in data:
             raise ScenarioError(f"scenario.{name}: missing required section")
-    workspace = _build("workspace", GridSpec, **_read(data["workspace"], "workspace"))
-    vehicle = _build("vehicle", VehicleGeometry, **_read(data["vehicle"], "vehicle"))
-    spot = _build("spot", SpotSpec, **_read(data["spot"], "spot")) if "spot" in data else None
-    start = Pose(**_read(data["start"], "start"))
-    goal = Pose(**_read(data["goal"], "goal"))
-    s = _read(data.get("search", {}), "search")
-    penalties = PenaltyConfig(**s.pop("penalties"))
-    return _build(
-        "spot", build_parallel_parking,
-        workspace=workspace, vehicle=vehicle, spot=spot, start=start, goal=goal,
-        search=SearchConfig(**s, penalties=penalties),
-        extra_points=_read(data.get("obstacles", {}), "obstacles")["extra_points"],
-    )
+    sections = {name: _read(cls, data[name], name) for name, cls in _SECTIONS.items() if name in data}
+    obstacles = data.get("obstacles", {})
+    _check_keys(obstacles, ("extra_points",), "obstacles")
+    extra_points = _points(obstacles.get("extra_points", []), "obstacles.extra_points")
+    try:
+        return build_parallel_parking(**{"spot": None, **sections}, extra_points=extra_points)
+    except ValueError as e:
+        raise ScenarioError(f"spot: {e}") from e
 
 
-def _write(section: str, source) -> dict:
-    """One section in file order, each key read from the object that holds
-    the section."""
-    out = {}
-    for key, reader in _SCHEMA[section][1].items():
-        value = getattr(source, key)
-        out[key] = _write(reader, value) if isinstance(reader, str) else _plain(value)
-    return out
-
-
-def _plain(value):
-    """JSON form of a value: tuples (number lists, point lists) become lists."""
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+def _write(value):
+    """JSON form of a value: a dataclass becomes an object in field order,
+    a tuple (number list, point list) a list."""
+    if is_dataclass(value):
+        return {f.name: _write(getattr(value, f.name)) for f in fields(value)}
+    return [_write(v) for v in value] if isinstance(value, tuple) else value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    sources = {
-        "workspace": scenario.workspace,
-        "vehicle": scenario.vehicle,
-        "start": scenario.start,
-        "goal": scenario.goal,
-        "search": scenario.search,
-        "obstacles": scenario,
-        "spot": scenario.spot,
-    }
-    return {name: _write(name, obj) for name, obj in sources.items() if obj is not None}
+    out = {name: _write(getattr(scenario, name)) for name in _SECTIONS if name != "spot"}
+    out["obstacles"] = {"extra_points": _write(scenario.extra_points)}
+    if scenario.spot is not None:
+        out["spot"] = _write(scenario.spot)
+    return out
 
 
 def load_scenario(path) -> Scenario:

@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
 from operator import attrgetter
@@ -141,8 +141,8 @@ class SearchConfig:
     omega_factor: float = 2.0
     setvalue: int = 5
     max_iterations: int = 200_000
-    penalties: PenaltyConfig = field(default_factory=PenaltyConfig)
     inflation_factors: tuple[float, ...] = (2.0,)
+    penalties: PenaltyConfig = field(default_factory=PenaltyConfig)
     arc_length: float = 0.5
     steering_angles: tuple[float, ...] = (-0.6, 0.0, 0.6)
 
@@ -199,8 +199,9 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
     """Every rule the planner input breaks, empty when the planners accept
     it: the endpoints, the obstacle points, the config, and the primitives
     against the grid and the steering limit. Each test is written as "ok"
-    so that NaN fails it, but for the arc length's +inf test, which leaves
-    NaN to the diagonal test so that NaN reads one problem."""
+    so that NaN fails it, but for the +inf tests of the penalties and the
+    arc length, which leave NaN to the range tests before them so that NaN
+    reads one problem."""
     ws = scenario.workspace
     out = []
     for name, pose in (("start", start), ("goal", goal)):
@@ -232,6 +233,10 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
         *(
             (getattr(pen, name) >= 0.0, f"penalties.{name} < 0")
             for name in ("switchback", "steer_change", "steer_hold")
+        ),
+        *(
+            (getattr(pen, f.name) != math.inf, f"penalties.{f.name} is not finite")
+            for f in fields(pen)
         ),
         (arc_length > diag, f"arc_length {arc_length} does not exceed the cell diagonal {diag:.4f}"),
         (arc_length != math.inf, f"arc_length {arc_length} is not finite"),

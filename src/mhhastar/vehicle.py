@@ -34,8 +34,8 @@ class PenaltyConfig:
 
     reverse_mult: float = 2.0
     switchback: float = 10.0
-    steer_change: float = 1.5
     steer_hold: float = 0.0
+    steer_change: float = 1.5
 
 
 def _sinc(x: float) -> float:

@@ -11,7 +11,6 @@ from mhhastar.geometry import ObstacleSet, Pose
 from mhhastar.grid import (
     CellKey,
     GridSpec,
-    WorkspaceError,
     build_occupancy,
     dijkstra_field,
     discretize,
@@ -59,7 +58,7 @@ class TestDiscretize:
         assert a != b and a[:3] == b[:3]
 
     def test_out_of_workspace_raises(self):
-        with pytest.raises(WorkspaceError):
+        with pytest.raises(ValueError, match="outside workspace"):
             discretize(Pose(-30.0, 0.0, 0.0), Gear.FORWARD, SPEC)
 
 
@@ -336,7 +335,7 @@ class TestFieldLookup:
         assert math.isinf(self._field(mask).lookup(0.1, 0.1))
 
     def test_outside_raises(self):
-        with pytest.raises(WorkspaceError):
+        with pytest.raises(ValueError, match="outside workspace"):
             self._field().lookup(9.0, 0.0)
 
     @pytest.mark.parametrize("cell", [(0, 9), (-2, 0), (6, 0), (0, 6), (0, -1), (99, 99)])

@@ -499,7 +499,8 @@ class TestFiles:
 
 class TestSchema:
     def test_each_section_is_one_dataclass(self, forward_scenario):
-        # a file section's keys are the fields of the one object holding it
+        # a file section's keys are the fields of the one object holding it,
+        # in declared order
         data = scenario_to_dict(forward_scenario)
         holders = {
             ("workspace",): GridSpec,
@@ -512,7 +513,7 @@ class TestSchema:
         }
         for path, cls in holders.items():
             section = functools.reduce(operator.getitem, path, data)
-            assert set(section) == {f.name for f in dataclasses.fields(cls)}, path
+            assert list(section) == [f.name for f in dataclasses.fields(cls)], path
 
     @settings(max_examples=200, deadline=None)
     @given(config=search_configs())

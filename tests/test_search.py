@@ -64,6 +64,10 @@ INPUT_RULES = [
     ({"switchback": -1.0}, "penalties.switchback < 0"),
     ({"steer_change": -1.0}, "penalties.steer_change < 0"),
     ({"steer_hold": -1.0}, "penalties.steer_hold < 0"),
+    ({"reverse_mult": math.inf}, "penalties.reverse_mult is not finite"),
+    ({"switchback": math.inf}, "penalties.switchback is not finite"),
+    ({"steer_hold": math.inf}, "penalties.steer_hold is not finite"),
+    ({"steer_change": math.inf}, "penalties.steer_change is not finite"),
     ({"arc_length": 0.4}, "arc_length 0.4 does not exceed the cell diagonal 0.4243"),
     ({"arc_length": math.nan}, "arc_length nan does not exceed the cell diagonal 0.4243"),
     ({"arc_length": math.inf}, "arc_length inf is not finite"),
@@ -321,6 +325,14 @@ class TestImmediateCases:
         config = dataclasses.replace(SearchConfig(), omega_factor=math.nan, inflation_factors=(math.nan,))
         with pytest.raises(ValueError, match="omega_factor.*inflation factor #1"):
             mhha_star(sc.start, sc.goal, sc, config)
+
+    def test_nan_penalty_reads_one_problem(self):
+        # the +inf rule leaves NaN to the range rule
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(8, 0, 0))
+        for f in dataclasses.fields(sc.search.penalties):
+            penalties = dataclasses.replace(sc.search.penalties, **{f.name: math.nan})
+            problems = validate(dataclasses.replace(sc, search=dataclasses.replace(sc.search, penalties=penalties)))
+            assert len(problems) == 1 and problems[0].startswith(f"penalties.{f.name} < "), problems
 
     def test_iteration_cap_is_an_error(self):
         sc = make_open_scenario(Pose(-8, 0, 0), Pose(8, 8, math.pi / 2))
