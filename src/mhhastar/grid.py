@@ -36,6 +36,9 @@ class GridSpec:
             raise ValueError("heading_bins must be >= 1")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("workspace must be non-degenerate")
+        spans = (self.x_max - self.x_min, self.y_max - self.y_min)
+        if not all(math.isfinite(span / self.cell_size) for span in spans):
+            raise ValueError("workspace must span a finite number of cells")
 
     # Cached on first read: `cell_of` reads both for every quantized pose.
     @cached_property
@@ -110,6 +113,8 @@ class DistanceField:
     Tentative and settled labels live in dicts keyed by flat cell index, so
     a query allocates only for the cells it touches; `values` builds the
     read-only (nx, ny) array of settled labels, +inf elsewhere, when read.
+    One byte per cell marks it blocked or settled, and the sweep relaxes no
+    marked cell: a settled label is the least, so no move could lower it.
     """
 
     def __init__(self, spec: GridSpec, blocked: np.ndarray, goal_cell, start_cell):
@@ -120,7 +125,7 @@ class DistanceField:
         stride = self._stride = spec.ny + 2
         padded = np.ones((spec.nx + 2, stride), dtype=bool)
         padded[1:-1, 1:-1] = blocked
-        self._blocked = padded.tobytes()
+        self._done = bytearray(padded)
         axis, diag = spec.cell_size, spec.cell_size * math.sqrt(2.0)
         self._moves = tuple(
             (dx * stride + dy, diag if dx and dy else axis)
@@ -134,12 +139,12 @@ class DistanceField:
         self._settled: dict[int, float] = {}
         self._best = {goal: 0.0}  # tentative labels
         # (key, label, cell); a blocked goal leaves nothing to sweep
-        self._heap = [] if self._blocked[goal] else [(0.0, 0.0, goal)]
+        self._heap = [] if self._done[goal] else [(0.0, 0.0, goal)]
 
     @property
     def values(self) -> np.ndarray:
         """Read-only (nx, ny) array of the labels settled so far, +inf elsewhere."""
-        flat = np.full(len(self._blocked), np.inf)
+        flat = np.full(len(self._done), np.inf)
         flat[list(self._settled)] = list(self._settled.values())
         out = flat.reshape(-1, self._stride)[1:-1, 1:-1]
         out.setflags(write=False)
@@ -153,7 +158,7 @@ class DistanceField:
         k = (ix + 1) * self._stride + iy + 1
         value = self._settled.get(k)
         if value is None:
-            return math.inf if self._blocked[k] else self._settle(k)
+            return math.inf if self._done[k] else self._settle(k)
         return value
 
     def lookup(self, x: float, y: float) -> float:
@@ -162,26 +167,29 @@ class DistanceField:
     def _settle(self, target: int) -> float:
         """Resume the sweep until `target` is settled; its label, or +inf
         once nothing is left."""
-        heap, best, settled, blocked, moves, stride = (
-            self._heap, self._best, self._settled, self._blocked, self._moves, self._stride
+        heap, settled, done, moves, stride = (
+            self._heap, self._settled, self._done, self._moves, self._stride
         )
+        best, best_get = self._best, self._best.get
+        heappop, heappush = heapq.heappop, heapq.heappush
         h_axis, h_diag, sx, sy = self._h
         inf = math.inf
         while heap:
-            _, d, k = heapq.heappop(heap)
-            if k in settled:
+            _, d, k = heappop(heap)
+            if done[k]:
                 continue
+            done[k] = 1
             settled[k] = d
             for step, w in moves:
                 j = k + step
-                if not blocked[j]:
+                if not done[j]:
                     nd = d + w
-                    if nd < best.get(j, inf):
+                    if nd < best_get(j, inf):
                         best[j] = nd
                         dx, dy = divmod(j, stride)
                         dx, dy = abs(dx - sx), abs(dy - sy)
                         key = nd + h_axis * (dx + dy) + h_diag * (dx if dx < dy else dy)
-                        heapq.heappush(heap, (key, nd, j))
+                        heappush(heap, (key, nd, j))
             if k == target:
                 return d
         return inf

@@ -61,23 +61,25 @@ class Scenario:
         return tuple(map(tuple, self.obstacles.points[self.wall_count:].tolist()))
 
 
-def _segment_points(p0, p1, spacing: float) -> list[tuple[float, float]]:
+def _segment_points(p0, p1, spacing: float) -> np.ndarray:
     """Evenly spaced points along a segment, both endpoints included, at
-    intervals <= spacing."""
+    intervals <= spacing, as an (n + 1, 2) float array."""
     x0, y0 = p0
     x1, y1 = p1
-    seg_len = math.hypot(x1 - x0, y1 - y0)
-    n = max(1, math.ceil(seg_len / spacing - 1e-12))
-    return [
-        (x0 + (x1 - x0) * k / n, y0 + (y1 - y0) * k / n) for k in range(n + 1)
-    ]
+    count = math.hypot(x1 - x0, y1 - y0) / spacing - 1e-12
+    if not math.isfinite(count):
+        raise ValueError("workspace too large to sample its walls")
+    n = max(1, math.ceil(count))
+    k = np.arange(n + 1)
+    return np.column_stack((x0 + (x1 - x0) * k / n, y0 + (y1 - y0) * k / n))
 
 
 def _parking_walls(
     workspace: GridSpec, spot: SpotSpec, goal: Pose, spacing: float
-) -> list[tuple[float, float]]:
-    """Wall point cloud: the lower boundary outside the spot opening, the
-    spot's two sides and back, and the upper workspace boundary.
+) -> np.ndarray:
+    """Wall point cloud, an (n, 2) float array: the lower boundary outside
+    the spot opening, the spot's two sides and back, and the upper workspace
+    boundary.
 
     The spot's vertical placement is not part of the written scenario
     geometry; the notch is centered on the goal's depth so the parked
@@ -94,14 +96,15 @@ def _parking_walls(
         and open_y <= workspace.y_max
     ):
         raise ValueError("spot extends outside the workspace")
-    pts: list[tuple[float, float]] = []
-    pts += _segment_points((workspace.x_min, open_y), (left, open_y), spacing)
-    pts += _segment_points((right, open_y), (workspace.x_max, open_y), spacing)
-    pts += _segment_points((left, floor_y), (left, open_y), spacing)
-    pts += _segment_points((right, floor_y), (right, open_y), spacing)
-    pts += _segment_points((left, floor_y), (right, floor_y), spacing)
-    pts += _segment_points((workspace.x_min, workspace.y_max), (workspace.x_max, workspace.y_max), spacing)
-    return pts
+    segments = (
+        ((workspace.x_min, open_y), (left, open_y)),
+        ((right, open_y), (workspace.x_max, open_y)),
+        ((left, floor_y), (left, open_y)),
+        ((right, floor_y), (right, open_y)),
+        ((left, floor_y), (right, floor_y)),
+        ((workspace.x_min, workspace.y_max), (workspace.x_max, workspace.y_max)),
+    )
+    return np.concatenate([_segment_points(p0, p1, spacing) for p0, p1 in segments])
 
 
 def build_parallel_parking(
@@ -121,11 +124,10 @@ def build_parallel_parking(
     any other sequence of pairs is made floats once, value by value."""
     if not isinstance(extra_points, np.ndarray):
         extra_points = np.array([(float(x), float(y)) for x, y in extra_points]).reshape(-1, 2)
-    walls = _parking_walls(workspace, spot, goal, WALL_POINT_SPACING) if spot is not None else []
-    wall_points = np.fromiter(chain.from_iterable(walls), float, 2 * len(walls)).reshape(-1, 2)
+    walls = np.empty((0, 2)) if spot is None else _parking_walls(workspace, spot, goal, WALL_POINT_SPACING)
     return Scenario(
         workspace=workspace,
-        obstacles=ObstacleSet(np.concatenate((wall_points, extra_points))),
+        obstacles=ObstacleSet(np.concatenate((walls, extra_points))),
         spot=spot,
         start=start,
         goal=goal,

@@ -11,7 +11,8 @@ one flat pass and verifies only until the shortest one is found. The frame
 transform and rectangle test are the textbook form of the collision check.
 The analytic collision verdict comes from a plain start-to-end scan. The
 scenario loader's point list is checked item by item, as it was before its
-vectorised fast path.
+vectorised fast path, and the parking walls are sampled one point at a time,
+as they were before they became one array.
 """
 
 from __future__ import annotations
@@ -291,6 +292,38 @@ def points_loop(value, where):
             raise ScenarioError(f"{at}: expected an [x, y] pair")
         out.append((_number(item[0], at), _number(item[1], at)))
     return tuple(out)
+
+
+def segment_points_loop(p0, p1, spacing):
+    """Evenly spaced points along a segment, both endpoints included, as a
+    list of float pairs built one point at a time."""
+    x0, y0 = p0
+    x1, y1 = p1
+    seg_len = math.hypot(x1 - x0, y1 - y0)
+    n = max(1, math.ceil(seg_len / spacing - 1e-12))
+    return [
+        (x0 + (x1 - x0) * k / n, y0 + (y1 - y0) * k / n) for k in range(n + 1)
+    ]
+
+
+def parking_walls_loop(workspace, spot, goal, spacing):
+    """The parking walls as a list of float pairs, segment by segment in the
+    library's order: lower boundary left and right of the opening, the
+    spot's left and right sides, its back, then the upper boundary."""
+    open_y = goal.y + spot.depth / 2.0
+    floor_y = goal.y - spot.depth / 2.0
+    left = spot.center_x - spot.length / 2.0
+    right = spot.center_x + spot.length / 2.0
+    pts = []
+    pts += segment_points_loop((workspace.x_min, open_y), (left, open_y), spacing)
+    pts += segment_points_loop((right, open_y), (workspace.x_max, open_y), spacing)
+    pts += segment_points_loop((left, floor_y), (left, open_y), spacing)
+    pts += segment_points_loop((right, floor_y), (right, open_y), spacing)
+    pts += segment_points_loop((left, floor_y), (right, floor_y), spacing)
+    pts += segment_points_loop(
+        (workspace.x_min, workspace.y_max), (workspace.x_max, workspace.y_max), spacing
+    )
+    return pts
 
 
 def rectangle_corners(pose, geometry):

@@ -134,6 +134,32 @@ class TestPlan:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["plan", "--planner", "mhha"]], ids=["validate", "plan"]
+    )
+    @pytest.mark.parametrize(
+        "workspace, keep_spot, message",
+        [
+            ({"x_max": 1e308}, True, "workspace: workspace must span a finite number of cells"),
+            ({"x_max": 1e308}, False, "workspace: workspace must span a finite number of cells"),
+            ({"x_max": 1e308, "cell_size": 1.0}, True, "spot: workspace too large to sample its walls"),
+        ],
+        ids=["x_max-1e308", "x_max-1e308-no-spot", "x_max-1e308-cell-1"],
+    )
+    def test_huge_finite_workspace_exit_1(
+        self, command, workspace, keep_spot, message, tmp_path, forward_file, capsys
+    ):
+        # every bound is finite, but the cell count (x span / cell_size) or
+        # the top wall's sample count (x span / 0.1 m) overflows a float
+        data = json.loads(forward_file.read_text())
+        data["workspace"].update(workspace)
+        if not keep_spot:
+            del data["spot"]
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data))
+        assert main([command[0], "--scenario", str(bad), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestValidateCommand:
     def test_valid_scenario(self, forward_file, capsys):

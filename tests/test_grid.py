@@ -33,6 +33,19 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0, 1, 0, 1, cell_size=0.0)
 
+    @pytest.mark.parametrize(
+        "bounds, cell_size",
+        [
+            ((-21.0, 1e308, -1.0, 11.0), 0.3),
+            ((-1e308, 1e308, -1.0, 11.0), 1.0),
+            ((0.0, 1.0, 0.0, 1e308), 1e-300),
+        ],
+    )
+    def test_rejects_non_finite_cell_counts(self, bounds, cell_size):
+        # each bound is finite, but a span or span / cell_size overflows
+        with pytest.raises(ValueError, match="finite number of cells"):
+            GridSpec(*bounds, cell_size=cell_size)
+
     def test_max_boundary_folds_into_last_cell(self):
         assert SPEC.cell_of(21.0, 11.0) == (139, 39)
 
@@ -312,6 +325,23 @@ class TestGoalDirectedField:
         field = dijkstra_field(spec, np.zeros((spec.nx, spec.ny), bool), (60.1, 20.1), (70.0, 20.1))
         assert field.lookup(70.0, 20.1) == pytest.approx(33 * 0.3)
         assert np.isfinite(field.values).sum() <= 34
+
+    @pytest.mark.parametrize("name, settled", [("forward", 89), ("backward", 495)])
+    def test_shipped_set_up_sweep_is_pinned(self, name, settled, request):
+        # The planners' set-up sweep of each shipped scenario, start cell
+        # settled: its settled count fixes the pop order's reach, and every
+        # settled label is the Bellman-Ford one.
+        scenario = request.getfixturevalue(f"{name}_scenario")
+        spec = scenario.workspace
+        mask = build_occupancy(spec, scenario.obstacles)
+        goal_xy, start_xy = (scenario.goal.x, scenario.goal.y), (scenario.start.x, scenario.start.y)
+        field = dijkstra_field(spec, mask, goal_xy, start_xy)
+        values = field.values
+        assert np.isfinite(values).sum() == settled
+        goal = spec.cell_of(*goal_xy)
+        expected = bellman_ford_field(spec.nx, spec.ny, mask.tolist(), goal, spec.cell_size)
+        for ix, iy in zip(*np.nonzero(np.isfinite(values))):
+            assert values[ix, iy] == expected[ix][iy], (ix, iy)
 
 
 class TestFieldLookup:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
@@ -22,6 +22,7 @@ from mhhastar.scenario import (
     WALL_POINT_SPACING,
     _parking_walls,
     _points,
+    _segment_points,
     build_parallel_parking,
     load_scenario,
     save_scenario,
@@ -33,7 +34,7 @@ from mhhastar.search import SearchConfig, hybrid_a_star, mhha_star
 from mhhastar.vehicle import PenaltyConfig
 
 from conftest import SCENARIOS as BUNDLED
-from oracles import points_loop
+from oracles import parking_walls_loop, points_loop, segment_points_loop
 
 
 NAN = math.nan
@@ -202,6 +203,52 @@ class TestBuild:
             )
             dense_hit = vehicle_collides(pose, forward_scenario.vehicle, dense)
             assert sparse_hit == dense_hit == False  # noqa: E712
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p0=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        p1=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        spacing=st.floats(1.0, 50.0),
+    )
+    def test_segment_points_match_point_by_point_sampling(self, p0, p1, spacing):
+        expected = np.array(segment_points_loop(p0, p1, spacing), dtype=float)
+        assert _segment_points(p0, p1, spacing).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corner=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        size=st.tuples(st.floats(0.5, 60.0), st.floats(0.5, 20.0)),
+        spot=st.tuples(
+            st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 1.0), st.floats(0.0, 1.0)
+        ),
+        spacing=st.floats(0.05, 1.0),
+    )
+    def test_walls_match_point_by_point_sampling(self, corner, size, spot, spacing):
+        # random workspaces, spots (length, centre, depth and goal depth as
+        # fractions of the free room) and spacings, bit for bit
+        (x_min, y_min), (width, height) = corner, size
+        length_f, center_f, depth_f, goal_f = spot
+        workspace = GridSpec(x_min, x_min + width, y_min, y_min + height)
+        length, depth = length_f * width, depth_f * height
+        spot = SpotSpec(depth, length, x_min + length / 2.0 + center_f * (width - length))
+        goal = Pose(0.0, y_min + depth / 2.0 + goal_f * (height - depth), 0.0)
+        try:
+            walls = _parking_walls(workspace, spot, goal, spacing)
+        except ValueError as e:
+            assume("outside the workspace" not in str(e))  # the spot rounded out
+            raise
+        expected = np.array(parking_walls_loop(workspace, spot, goal, spacing), dtype=float)
+        assert walls.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["forward_parking.json", "backward_parking.json"])
+    def test_shipped_walls_match_point_by_point_sampling(self, name):
+        scenario = load_scenario(BUNDLED / name)
+        expected = np.array(
+            parking_walls_loop(scenario.workspace, scenario.spot, scenario.goal, WALL_POINT_SPACING),
+            dtype=float,
+        )
+        assert scenario.wall_count == len(expected) == 906
+        assert scenario.obstacles.points[:scenario.wall_count].tobytes() == expected.tobytes()
 
 
 class TestValidate:
@@ -452,7 +499,7 @@ class TestFiles:
         scenario = scenario_from_dict(data)
         walls = _parking_walls(scenario.workspace, scenario.spot, scenario.goal, WALL_POINT_SPACING)
         assert scenario.extra_points == ((5.0, 5.0), (-3.25, 9.5), (0.1, 0.2))
-        expected = np.array(walls + list(scenario.extra_points), dtype=float)
+        expected = np.concatenate((walls, np.array(scenario.extra_points, dtype=float)))
         assert scenario.obstacles.points.dtype == np.float64
         assert np.array_equal(scenario.obstacles.points, expected)
 
