@@ -1,17 +1,8 @@
 """Search-based parking path planner: multi-heuristic hybrid A* with an
 anchor-only Hybrid A* baseline, analytic curve expansion, and benchmark CLI."""
 
-from .geometry import (
-    ObstacleSet,
-    Pose,
-    VehicleGeometry,
-    body_to_world,
-    normalize_angle,
-    vehicle_collides,
-)
-from .grid import CellKey, DistanceField, GridSpec, build_occupancy, dijkstra_field, discretize
-from .heuristics import HeuristicSet, h_holonomic
-from .reeds_shepp import RSPath, rs_collision_free, rs_shortest
+from .geometry import ObstacleSet, Pose, VehicleGeometry
+from .grid import GridSpec
 from .render import render_svg
 from .scenario import (
     Scenario,
@@ -30,14 +21,6 @@ from .search import (
     hybrid_a_star,
     mhha_star,
 )
-from .vehicle import (
-    Arc,
-    Gear,
-    PenaltyConfig,
-    Primitive,
-    arc_poses,
-    step_cost,
-    successors,
-)
+from .vehicle import Arc, Gear, PenaltyConfig
 
 __version__ = "0.1.0"

@@ -12,10 +12,11 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .render import render_svg
-from .scenario import ScenarioError, Scenario, load_scenario, scenario_to_dict, validate
+from .scenario import ScenarioError, Scenario, load_scenario, validate
 from .search import PlanResult, SearchLimitError, hybrid_a_star, mhha_star
 
 _PLANNERS = {"mhha": mhha_star, "hybrid": hybrid_a_star}
@@ -57,11 +58,6 @@ def _metrics_dict(result: PlanResult) -> dict:
     }
 
 
-def _print_metrics(result: PlanResult) -> None:
-    for key, value in _metrics_dict(result).items():
-        print(f"{key}={_fmt(value) if value is not None else 'no solution'}")
-
-
 def _load_checked(path: str) -> Scenario:
     scenario = load_scenario(path)
     violations = validate(scenario)
@@ -80,7 +76,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         report = {
             "scenario": args.scenario,
             "planner": args.planner,
-            "config": scenario_to_dict(scenario)["search"],
+            "config": asdict(scenario.search),
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "metrics": _metrics_dict(result),
         }
@@ -94,7 +90,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 2
     if not args.path_out:
         sys.stdout.write(path_lines(result))
-    _print_metrics(result)
+    for key, value in _metrics_dict(result).items():
+        print(f"{key}={_fmt(value) if value is not None else 'no solution'}")
     return 0
 
 
@@ -115,7 +112,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # Metrics are copied verbatim from the planner results, never recomputed.
     report = {
         "scenario": args.scenario,
-        "config": scenario_to_dict(scenario)["search"],
+        "config": asdict(scenario.search),
         "started_at": started_at,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "planners": {name: _metrics_dict(result) for name, result in results.items()},

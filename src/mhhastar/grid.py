@@ -39,6 +39,9 @@ class GridSpec:
         spans = (self.x_max - self.x_min, self.y_max - self.y_min)
         if not all(math.isfinite(span / self.cell_size) for span in spans):
             raise ValueError("workspace must span a finite number of cells")
+        # DistanceField pads the grid with one ring of cells
+        if (self.nx + 2) * (self.ny + 2) > np.iinfo(np.intp).max:
+            raise ValueError("workspace must span fewer cells than an array can index")
 
     # Cached on first read: `cell_of` reads both for every quantized pose.
     @cached_property
@@ -110,11 +113,11 @@ class DistanceField:
     cell's float-optimal predecessor is settled before it, and every label
     equals, bit for bit, that of a full Dijkstra sweep.
 
-    Tentative and settled labels live in dicts keyed by flat cell index, so
-    a query allocates only for the cells it touches; `values` builds the
-    read-only (nx, ny) array of settled labels, +inf elsewhere, when read.
-    One byte per cell marks it blocked or settled, and the sweep relaxes no
-    marked cell: a settled label is the least, so no move could lower it.
+    Labels live in one dict keyed by flat cell index, so a query allocates
+    only for the cells it touches; `values` builds the read-only (nx, ny)
+    array of settled labels, +inf elsewhere, when read. One byte per cell
+    reads 1 for blocked and 2 for settled, and the sweep relaxes no marked
+    cell: a settled label is the least, so no move could lower it.
     """
 
     def __init__(self, spec: GridSpec, blocked: np.ndarray, goal_cell, start_cell):
@@ -136,16 +139,16 @@ class DistanceField:
         # Octile term of the key: h_axis * (dx + dy) + h_diag * min(dx, dy).
         self._h = (weight * axis, weight * (diag - 2.0 * axis), start_cell[0] + 1, start_cell[1] + 1)
         goal = (goal_cell[0] + 1) * stride + goal_cell[1] + 1
-        self._settled: dict[int, float] = {}
-        self._best = {goal: 0.0}  # tentative labels
+        self._best = {goal: 0.0}  # tentative labels, final once settled
         # (key, label, cell); a blocked goal leaves nothing to sweep
         self._heap = [] if self._done[goal] else [(0.0, 0.0, goal)]
 
     @property
     def values(self) -> np.ndarray:
         """Read-only (nx, ny) array of the labels settled so far, +inf elsewhere."""
+        settled = {k: d for k, d in self._best.items() if self._done[k] == 2}
         flat = np.full(len(self._done), np.inf)
-        flat[list(self._settled)] = list(self._settled.values())
+        flat[list(settled)] = list(settled.values())
         out = flat.reshape(-1, self._stride)[1:-1, 1:-1]
         out.setflags(write=False)
         return out
@@ -156,10 +159,10 @@ class DistanceField:
         if not (0 <= ix < nx and 0 <= iy < ny):
             raise IndexError(f"cell ({ix}, {iy}) outside the {nx} x {ny} grid")
         k = (ix + 1) * self._stride + iy + 1
-        value = self._settled.get(k)
-        if value is None:
-            return math.inf if self._done[k] else self._settle(k)
-        return value
+        state = self._done[k]
+        if state == 2:
+            return self._best[k]
+        return math.inf if state else self._settle(k)
 
     def lookup(self, x: float, y: float) -> float:
         return self.at(*self.spec.cell_of(x, y))
@@ -167,9 +170,7 @@ class DistanceField:
     def _settle(self, target: int) -> float:
         """Resume the sweep until `target` is settled; its label, or +inf
         once nothing is left."""
-        heap, settled, done, moves, stride = (
-            self._heap, self._settled, self._done, self._moves, self._stride
-        )
+        heap, done, moves, stride = self._heap, self._done, self._moves, self._stride
         best, best_get = self._best, self._best.get
         heappop, heappush = heapq.heappop, heapq.heappush
         h_axis, h_diag, sx, sy = self._h
@@ -178,8 +179,7 @@ class DistanceField:
             _, d, k = heappop(heap)
             if done[k]:
                 continue
-            done[k] = 1
-            settled[k] = d
+            done[k] = 2  # a cell's first pop has its least label, best[k]
             for step, w in moves:
                 j = k + step
                 if not done[j]:

@@ -67,7 +67,8 @@ def _segment_points(p0, p1, spacing: float) -> np.ndarray:
     x0, y0 = p0
     x1, y1 = p1
     count = math.hypot(x1 - x0, y1 - y0) / spacing - 1e-12
-    if not math.isfinite(count):
+    # numpy refuses arrays over intp.max bytes, 16 a row here; NaN fails "<"
+    if not count < np.iinfo(np.intp).max / 16:
         raise ValueError("workspace too large to sample its walls")
     n = max(1, math.ceil(count))
     k = np.arange(n + 1)

@@ -358,13 +358,6 @@ class _Search:
                 existing.bp = s
                 self._insert(existing, h_lower)
 
-    def analytic_expansion(self, s: SearchNode) -> RSPath | None:
-        """Exact curve from s to the goal, or None when it collides."""
-        path = rs_shortest(s.pose, self.goal, self.turning_radius)
-        if rs_collision_free(path, s.pose, self.vehicle, self.obstacles):
-            return path
-        return None
-
     # -- result assembly ----------------------------------------------------
 
     def _backtrack(self, node: SearchNode) -> list[SearchNode]:
@@ -452,9 +445,9 @@ class _Search:
                     "suboptimality bound violated at termination"
                 )
                 return self._result(Termination.GOAL_KEY, time.perf_counter() - t0, goal_node)
-            if self.iterations % config.setvalue == 0:
-                tail = self.analytic_expansion(s)
-                if tail is not None:
+            if self.iterations % config.setvalue == 0:  # analytic expansion
+                tail = rs_shortest(s.pose, self.goal, self.turning_radius)
+                if rs_collision_free(tail, s.pose, self.vehicle, self.obstacles):
                     return self._result(Termination.RS_SHORTCUT, time.perf_counter() - t0, s, tail)
             self.expand_node(s)
 

@@ -142,15 +142,43 @@ class TestPlan:
         [
             ({"x_max": 1e308}, True, "workspace: workspace must span a finite number of cells"),
             ({"x_max": 1e308}, False, "workspace: workspace must span a finite number of cells"),
-            ({"x_max": 1e308, "cell_size": 1.0}, True, "spot: workspace too large to sample its walls"),
+            (
+                {"x_max": 1e308, "cell_size": 1.0},
+                True,
+                "workspace: workspace must span fewer cells than an array can index",
+            ),
+            (
+                {"x_max": 1e308, "cell_size": 1e306},
+                True,
+                "spot: workspace too large to sample its walls",
+            ),
+            (
+                {"x_max": 1e30},
+                False,
+                "workspace: workspace must span fewer cells than an array can index",
+            ),
+            (
+                {"x_max": 1e30, "cell_size": 1e28},
+                True,
+                "spot: workspace too large to sample its walls",
+            ),
         ],
-        ids=["x_max-1e308", "x_max-1e308-no-spot", "x_max-1e308-cell-1"],
+        ids=[
+            "x_max-1e308",
+            "x_max-1e308-no-spot",
+            "x_max-1e308-cell-1",
+            "x_max-1e308-cell-1e306",
+            "x_max-1e30-no-spot",
+            "x_max-1e30-cell-1e28",
+        ],
     )
     def test_huge_finite_workspace_exit_1(
         self, command, workspace, keep_spot, message, tmp_path, forward_file, capsys
     ):
         # every bound is finite, but the cell count (x span / cell_size) or
-        # the top wall's sample count (x span / 0.1 m) overflows a float
+        # the top wall's sample count (x span / 0.1 m) overflows a float, or
+        # is finite but more than a numpy array can index; the grid is
+        # checked before the walls are sampled
         data = json.loads(forward_file.read_text())
         data["workspace"].update(workspace)
         if not keep_spot:

@@ -46,6 +46,13 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite number of cells"):
             GridSpec(*bounds, cell_size=cell_size)
 
+    def test_rejects_more_cells_than_an_array_can_index(self):
+        # the padded grid, (nx + 2) x (ny + 2) cells, must fit in np.intp
+        assert GridSpec(0.0, 1e18, 0.0, 1.0, cell_size=1.0).nx == 10**18
+        for x_max, cell_size in ((1e19, 1.0), (1e30, 0.3)):
+            with pytest.raises(ValueError, match="fewer cells than an array can index"):
+                GridSpec(0.0, x_max, 0.0, 1.0, cell_size=cell_size)
+
     def test_max_boundary_folds_into_last_cell(self):
         assert SPEC.cell_of(21.0, 11.0) == (139, 39)
 

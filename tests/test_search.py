@@ -715,19 +715,23 @@ class TestSearchLifetime:
 
 
 class TestAnalyticExpansion:
+    """With setvalue 1 the first iteration tries the exact curve from the
+    start; with one iteration allowed, only that try can end the search."""
+
+    CONFIG = SearchConfig(setvalue=1, max_iterations=1)
+
     def test_clear_corridor_returns_path(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
-        s, start = make_searcher(sc)
-        tail = s.analytic_expansion(start)
-        assert tail is not None
-        assert tail.total_length == pytest.approx(10.0)
+        result = mhha_star(sc.start, sc.goal, sc, self.CONFIG)
+        assert result.termination is Termination.RS_SHORTCUT
+        assert (result.iterations, result.nodes_expanded, result.drive) == (1, 0, ())
+        assert result.path_length == pytest.approx(10.0)
 
     def test_wall_blocks_expansion(self):
-        sc = make_open_scenario(
-            Pose(0, 0, 0), Pose(10, 0, 0), wall(5.0, -14.9, 5.0, 14.9)
-        )
-        s, start = make_searcher(sc)
-        assert s.analytic_expansion(start) is None
+        # a wall across the straight curve, with room around it
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0), wall(5.0, -3.0, 5.0, 3.0))
+        with pytest.raises(SearchLimitError):
+            mhha_star(sc.start, sc.goal, sc, self.CONFIG)
 
 
 class TestDeterminismAndDegeneracy:
