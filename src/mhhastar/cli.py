@@ -30,11 +30,11 @@ _TABLE_ROWS = (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
+    """A metric as printed; None, a path length or cost without a path,
+    reads "no solution"."""
+    if value is None:
+        return "no solution"
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
 def path_lines(result: PlanResult) -> str:
@@ -91,7 +91,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if not args.path_out:
         sys.stdout.write(path_lines(result))
     for key, value in _metrics_dict(result).items():
-        print(f"{key}={_fmt(value) if value is not None else 'no solution'}")
+        print(f"{key}={_fmt(value)}")
     return 0
 
 
@@ -109,27 +109,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
             (out_dir / f"{name}_path.txt").write_text(path_lines(result), encoding="utf-8")
         (out_dir / f"{name}.svg").write_text(render_svg(scenario, result), encoding="utf-8")
 
-    # Metrics are copied verbatim from the planner results, never recomputed.
+    # Metrics are copied verbatim from the planner results, never recomputed;
+    # the table prints the same rows.
+    rows = {name: _metrics_dict(result) for name, result in results.items()}
     report = {
         "scenario": args.scenario,
         "config": asdict(scenario.search),
         "started_at": started_at,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "planners": {name: _metrics_dict(result) for name, result in results.items()},
+        "planners": rows,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    header = f"{'Performance':<28}{'MHHA*':<16}{'Hybrid A*':<16}"
-    print(header)
-    for label, attr in _TABLE_ROWS:
-        cells = []
-        for name in ("mhha", "hybrid"):
-            result = results[name]
-            if not result.found and attr == "path_length":
-                cells.append("no solution")
-            else:
-                cells.append(_fmt(getattr(result, attr)))
-        print(f"{label:<28}{cells[0]:<16}{cells[1]:<16}")
+    print(f"{'Performance':<28}{'MHHA*':<16}{'Hybrid A*':<16}")
+    for label, key in _TABLE_ROWS:
+        print(f"{label:<28}{_fmt(rows['mhha'][key]):<16}{_fmt(rows['hybrid'][key]):<16}")
     return 0 if all(r.found for r in results.values()) else 2
 
 

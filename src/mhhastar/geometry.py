@@ -111,8 +111,18 @@ def body_corners(pose: Pose, geometry: VehicleGeometry) -> list[Point]:
     return [body_to_world(pose, p) for p in ((xr, -h), (xf, -h), (xf, h), (xr, h))]
 
 
+def as_points(points) -> np.ndarray:
+    """`points` as a float (n, 2) array, n >= 0; ValueError for input that
+    is not a list of (x, y) pairs, such as 3-column or ragged rows."""
+    pts = np.asarray(points, dtype=float)  # a ragged input raises here
+    if pts.size and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise ValueError(f"expected (x, y) pairs, got an array of shape {pts.shape}")
+    return pts.reshape(-1, 2)
+
+
 class ObstacleSet:
-    """Immutable planar point-cloud obstacles.
+    """Immutable planar point-cloud obstacles, built from anything
+    `as_points` accepts.
 
     A private memo maps (floor(x / MEMO_CELL), floor(y / MEMO_CELL), radius)
     to the points within radius + MEMO_CELL of that square's center, as a list
@@ -131,7 +141,7 @@ class ObstacleSet:
     """
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        pts = as_points(points)
         pts.setflags(write=False)
         self._points = pts
         self._by_x = np.argsort(pts[:, 0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .geometry import body_corners
 from .search import PlanResult
+from .vehicle import SAMPLE_SPACING, arc_poses
 
 SCALE = 20.0  # pixels per meter
 
@@ -17,8 +18,9 @@ _GOAL = "#8822aa"
 
 def render_svg(scenario, result: PlanResult | None = None) -> str:
     """Deterministic SVG document: obstacles, optional expansion tree,
-    the planned path with its analytic tail in a distinct stroke, and the
-    vehicle outline at start and goal."""
+    the planned path, and the vehicle outline at start and goal. The path
+    is drawn from the result's arcs: the drive solid, and the analytic tail
+    dashed from the drive's last sample, each sampled by `arc_poses`."""
     ws = scenario.workspace
     width = (ws.x_max - ws.x_min) * SCALE
     height = (ws.y_max - ws.y_min) * SCALE
@@ -55,22 +57,16 @@ def render_svg(scenario, result: PlanResult | None = None) -> str:
         out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="1.5"/>')
     out.append("</g>")
 
-    path = result.path if result is not None else []
-    if path:
-        cut = result.rs_tail_start or len(path)  # None, or an index >= 1
-        drive = path[:cut]
-        tail = path[max(cut - 1, 0):] if cut < len(path) else []
-        if len(drive) >= 2:
-            pts = " ".join(f"{px(p.x):.2f},{py(p.y):.2f}" for p, _ in drive)
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{_PATH}" stroke-width="2"/>'
-            )
-        if len(tail) >= 2:
-            pts = " ".join(f"{px(p.x):.2f},{py(p.y):.2f}" for p, _ in tail)
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{_TAIL}" '
-                'stroke-width="2" stroke-dasharray="6 3"/>'
-            )
+    if result is not None and result.found:
+        drive = list(arc_poses(result.start, result.drive, SAMPLE_SPACING))
+        tail = list(arc_poses(drive[-1][0], result.tail or (), SAMPLE_SPACING))
+        for poses, stroke in (
+            (drive, f'stroke="{_PATH}" stroke-width="2"'),
+            (tail, f'stroke="{_TAIL}" stroke-width="2" stroke-dasharray="6 3"'),
+        ):
+            if len(poses) >= 2:
+                pts = " ".join(f"{px(p.x):.2f},{py(p.y):.2f}" for p, _ in poses)
+                out.append(f'<polyline points="{pts}" fill="none" {stroke}/>')
 
     for pose, color in ((scenario.start, _START), (scenario.goal, _GOAL)):
         corners = body_corners(pose, scenario.vehicle)

@@ -17,7 +17,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .geometry import ObstacleSet, Pose, VehicleGeometry
+from .geometry import ObstacleSet, Pose, VehicleGeometry, as_points
 from .grid import GridSpec
 from .search import SearchConfig, input_problems
 
@@ -119,12 +119,9 @@ def build_parallel_parking(
     extra_points: Sequence[tuple[float, float]] = (),
 ) -> Scenario:
     """Deterministically assemble a scenario: the walls of `spot` (none when
-    it is None), then `extra_points`. The one place a Scenario is built.
-
-    A numpy array of extra points (the loader's output) is used as it is;
-    any other sequence of pairs is made floats once, value by value."""
-    if not isinstance(extra_points, np.ndarray):
-        extra_points = np.array([(float(x), float(y)) for x, y in extra_points]).reshape(-1, 2)
+    it is None), then `extra_points`, (x, y) pairs or an (n, 2) array; any
+    other shape raises ValueError. The one place a Scenario is built."""
+    extra_points = as_points(extra_points)
     walls = np.empty((0, 2)) if spot is None else _parking_walls(workspace, spot, goal, WALL_POINT_SPACING)
     return Scenario(
         workspace=workspace,

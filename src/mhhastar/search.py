@@ -42,7 +42,6 @@ from .vehicle import (
     advance_arc,
     arc_poses,
     arc_stations,
-    arc_steps,
     primitive_table,
     step_cost,
     successors,
@@ -152,11 +151,12 @@ class PlanResult:
     """Planned path plus the benchmark metrics; heuristic_evaluations counts
     anchor evaluations, one Reeds–Shepp solve each.
 
-    The path is kept as arcs from the start pose, the primitive chain
-    (`drive`) and the analytic tail (`tail`, None without one), and sampled
-    when `path` is read. path_length is geometric (meters); cost
-    additionally includes the configured penalty surcharges accumulated by
-    the search.
+    A found path is its start pose, the primitive chain (`drive`) and the
+    analytic tail (`tail`, None without one), all as arcs; `path` samples
+    them with `arc_poses`, and a reader that needs the two parts apart
+    samples each the same way, the tail from the drive's last sample.
+    path_length is geometric (meters); cost additionally includes the
+    configured penalty surcharges accumulated by the search.
     """
 
     start: Pose
@@ -186,13 +186,6 @@ class PlanResult:
         if self.tail is not None:
             path += list(arc_poses(path[-1][0], self.tail, SAMPLE_SPACING))[1:]
         return path
-
-    @property
-    def rs_tail_start(self) -> int | None:
-        """Index in `path` of the first sample past the drive, or None."""
-        if self.tail is None:
-            return None
-        return 1 + sum(arc_steps(arc.length, SAMPLE_SPACING) for arc in self.drive)
 
 
 def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> list[str]:
@@ -335,28 +328,21 @@ class _Search:
                 continue
             gear, _, length = primitive.arc
             cell = discretize(end, gear, self.spec)
-            existing = self.nodes.get(cell)
-            if existing is not None and existing.closed:
+            node = self.nodes.get(cell)
+            if node is not None and node.closed:
                 continue
             h_holonomic = self.field.at(cell.ix, cell.iy)
             if math.isinf(h_holonomic):
                 continue  # walled off; the anchor heuristic would be infinite
             g_new = s.g + step_cost(primitive, s.step, self.config.penalties)
-            if existing is not None and g_new >= existing.g:
+            if node is not None and g_new >= node.g:
                 continue
             if hits is not None and any(hits[samples]):
                 continue
-            h_lower = max(h_holonomic, rs_floor - length)
-            if existing is None:
-                node = SearchNode(pose=end, step=primitive, cell=cell, g=g_new, bp=s)
-                self.nodes[cell] = node
-                self._insert(node, h_lower)
-            else:
-                existing.pose = end
-                existing.step = primitive
-                existing.g = g_new
-                existing.bp = s
-                self._insert(existing, h_lower)
+            if node is None:  # a first visit relaxes a node at infinite g
+                node = self.nodes[cell] = SearchNode(end, None, cell, math.inf, None)
+            node.pose, node.step, node.g, node.bp = end, primitive, g_new, s
+            self._insert(node, max(h_holonomic, rs_floor - length))
 
     # -- result assembly ----------------------------------------------------
 
@@ -440,10 +426,6 @@ class _Search:
             self.iterations += 1
             goal_node = self.goal_node
             if goal_node is not None and goal_node.g <= key:
-                bound = omega * anchor_key
-                assert goal_node.g <= bound + 1e-6 * max(1.0, bound), (
-                    "suboptimality bound violated at termination"
-                )
                 return self._result(Termination.GOAL_KEY, time.perf_counter() - t0, goal_node)
             if self.iterations % config.setvalue == 0:  # analytic expansion
                 tail = rs_shortest(s.pose, self.goal, self.turning_radius)

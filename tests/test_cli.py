@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mhhastar.cli import main, path_lines
+from mhhastar.cli import _fmt, main, path_lines
 from mhhastar.render import SCALE, render_svg
 from mhhastar.scenario import save_scenario
 from mhhastar.search import Termination
@@ -217,6 +217,14 @@ class TestValidateCommand:
         assert f"arc_length {arc_length} does not exceed the cell diagonal 0.4243" in err
 
 
+def _table(printed: str) -> dict[str, tuple[str, str]]:
+    """The compare table's rows: label -> (MHHA* cell, Hybrid A* cell)."""
+    return {
+        line[:28].strip(): (line[28:44].strip(), line[44:].strip())
+        for line in printed.splitlines()
+    }
+
+
 class TestCompare:
     def test_compare_outputs(self, forward_file, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -248,6 +256,21 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         assert report["planners"]["mhha"]["found"] is False
         assert report["planners"]["mhha"]["path_length"] is None
+
+    def test_table_cells_are_the_results(self, forward_file, tmp_path, capsys, benchmark_results):
+        main(["compare", "--scenario", str(forward_file), "--out", str(tmp_path / "cmp")])
+        table = _table(capsys.readouterr().out)
+        results = [benchmark_results[("forward", name)] for name in ("mhha", "hybrid")]
+        for label, attr in (
+            ("Number of Extended Nodes", "nodes_expanded"),
+            ("Number of Iterations", "iterations"),
+            ("Path lengths (m)", "path_length"),
+        ):
+            assert table[label] == tuple(_fmt(getattr(r, attr)) for r in results)
+
+    def test_table_path_row_without_solutions(self, trapped_file, tmp_path, capsys):
+        main(["compare", "--scenario", str(trapped_file), "--out", str(tmp_path / "cmp")])
+        assert _table(capsys.readouterr().out)["Path lengths (m)"] == ("no solution",) * 2
 
     def test_metrics_copied_verbatim(self, forward_file, tmp_path, benchmark_results):
         out = tmp_path / "cmp"

@@ -524,6 +524,34 @@ class TestFiles:
         with pytest.raises(ValueError):
             build([(1.0, 2.0, 3.0)])
 
+    @pytest.mark.parametrize("entry", ["ObstacleSet", "build_parallel_parking"])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)],  # 6 values, not 3 points
+            np.arange(6.0).reshape(2, 3),
+            [1.0, 2.0, 3.0, 4.0],
+            [(1.0, 2.0), (3.0,)],
+            [(1.0, 2.0), (3.0, 4.0, 5.0)],
+        ],
+        ids=["three_columns", "three_column_array", "flat", "ragged_short", "ragged_long"],
+    )
+    def test_points_must_be_pairs(self, forward_scenario, entry, points):
+        def build(points):
+            if entry == "ObstacleSet":
+                return ObstacleSet(points)
+            return build_parallel_parking(
+                workspace=forward_scenario.workspace,
+                vehicle=forward_scenario.vehicle,
+                spot=forward_scenario.spot,
+                start=forward_scenario.start,
+                goal=forward_scenario.goal,
+                extra_points=points,
+            )
+
+        with pytest.raises(ValueError):
+            build(points)
+
     def test_spotless_scenario(self):
         data = _forward_data()
         del data["spot"]

@@ -24,7 +24,7 @@ from mhhastar.search import (
     hybrid_a_star,
     mhha_star,
 )
-from mhhastar.vehicle import Gear, advance_arc, primitive_table
+from mhhastar.vehicle import SAMPLE_SPACING, Gear, advance_arc, arc_poses, primitive_table
 
 from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
 from test_reeds_shepp import bit_identity_cases
@@ -914,7 +914,9 @@ class TestResultInvariants:
         config = dataclasses.replace(sc.search, setvalue=1)
         r = mhha_star(sc.start, sc.goal, sc, config)
         assert r.termination is Termination.RS_SHORTCUT
-        assert r.rs_tail_start == 1  # only the start pose precedes the tail
+        assert r.drive == () and r.tail is not None  # only the start precedes the tail
+        assert r.path[0] == (sc.start, Gear.FORWARD)
+        assert r.path[1][1] is r.tail[0].gear
         assert r.nodes_expanded == 0
         assert r.path_length == pytest.approx(10.0, abs=1e-9)
 
@@ -924,21 +926,24 @@ class TestResultInvariants:
         r = mhha_star(sc.start, sc.goal, sc, config)
         assert r.termination is Termination.RS_SHORTCUT
         assert r.nodes_expanded == 0
-        assert r.rs_tail_start == 1
+        assert r.drive == () and r.tail is not None
         path = r.path
         assert path[0] == (sc.start, Gear.FORWARD)
+        assert path[1][1] is r.tail[0].gear
         assert {gear for _, gear in path[1:]} == {Gear.REVERSE}
         assert len(path) == 101
 
-    def test_rs_tail_start_splits_drive_and_tail(self, benchmark_results):
+    def test_tail_starts_at_the_last_drive_sample(self, benchmark_results):
         for result in benchmark_results.values():
-            path, cut = result.path, result.rs_tail_start
+            path = result.path
+            drive = list(arc_poses(result.start, result.drive, SAMPLE_SPACING))
             assert result.tail is not None and len(result.drive) > 1
             end = result.start
             for arc in result.drive:
                 end = advance_arc(end, *arc)
-            assert path[cut - 1][0] == end
-            assert path[cut][1] is result.tail[0].gear
+            assert path[: len(drive)] == drive
+            assert drive[-1][0] == end
+            assert path[len(drive)][1] is result.tail[0].gear
 
     def test_path_is_equal_on_repeated_reads(self, benchmark_results):
         for result in benchmark_results.values():
@@ -975,7 +980,7 @@ class TestReconstructPath:
         assert [pose for pose, _ in path[::6]] == [n.pose for n in chain]
         assert [gear for _, gear in path[1:]] == [g for g, _ in moves for _ in range(6)]
         assert result.path_length == 0.6 + 0.6 + 0.6 + 0.6
-        assert result.rs_tail_start is None
+        assert result.tail is None
 
 
 class TestBacktrackGuard:
