@@ -8,7 +8,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     SpotSpec,
-    build_parallel_parking,
     load_scenario,
     save_scenario,
     validate,

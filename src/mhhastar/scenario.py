@@ -13,7 +13,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, partial
 from itertools import chain
-from typing import Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,23 +42,6 @@ class SpotSpec:
             raise ValueError("spot dimensions must be positive")
         if not all(map(math.isfinite, (self.depth, self.length, self.center_x))):
             raise ValueError("spot values must be finite")
-
-
-@dataclass
-class Scenario:
-    workspace: GridSpec
-    obstacles: ObstacleSet
-    spot: SpotSpec | None
-    start: Pose
-    goal: Pose
-    vehicle: VehicleGeometry
-    search: SearchConfig = field(default_factory=SearchConfig)
-    wall_count: int = 0  # obstacle points before the extra points
-
-    @property
-    def extra_points(self) -> tuple[tuple[float, float], ...]:
-        """The obstacle points after the walls, as float pairs."""
-        return tuple(map(tuple, self.obstacles.points[self.wall_count:].tolist()))
 
 
 def _segment_points(p0, p1, spacing: float) -> np.ndarray:
@@ -108,31 +91,29 @@ def _parking_walls(
     return np.concatenate([_segment_points(p0, p1, spacing) for p0, p1 in segments])
 
 
-def build_parallel_parking(
-    *,
-    workspace: GridSpec,
-    vehicle: VehicleGeometry,
-    spot: SpotSpec | None,
-    start: Pose,
-    goal: Pose,
-    search: SearchConfig | None = None,
-    extra_points: Sequence[tuple[float, float]] = (),
-) -> Scenario:
-    """Deterministically assemble a scenario: the walls of `spot` (none when
-    it is None), then `extra_points`, (x, y) pairs or an (n, 2) array; any
-    other shape raises ValueError. The one place a Scenario is built."""
-    extra_points = as_points(extra_points)
-    walls = np.empty((0, 2)) if spot is None else _parking_walls(workspace, spot, goal, WALL_POINT_SPACING)
-    return Scenario(
-        workspace=workspace,
-        obstacles=ObstacleSet(np.concatenate((walls, extra_points))),
-        spot=spot,
-        start=start,
-        goal=goal,
-        vehicle=vehicle,
-        search=search if search is not None else SearchConfig(),
-        wall_count=len(walls),
-    )
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Scenario:
+    """A scenario file's sections. `extra_points` takes (x, y) pairs or an
+    (n, 2) array; any other shape raises ValueError. `obstacles` is built
+    here, once: the walls of `spot` (none when it is None), then the extra
+    points, and `extra_points` is kept as the read-only rows after the walls."""
+
+    workspace: GridSpec
+    vehicle: VehicleGeometry
+    start: Pose
+    goal: Pose
+    spot: SpotSpec | None = None
+    search: SearchConfig = field(default_factory=SearchConfig)
+    extra_points: np.ndarray = ()
+    obstacles: ObstacleSet = field(init=False)
+
+    def __post_init__(self) -> None:
+        walls = np.empty((0, 2))
+        if self.spot is not None:
+            walls = _parking_walls(self.workspace, self.spot, self.goal, WALL_POINT_SPACING)
+        obstacles = ObstacleSet(np.concatenate((walls, as_points(self.extra_points))))
+        object.__setattr__(self, "obstacles", obstacles)
+        object.__setattr__(self, "extra_points", obstacles.points[len(walls):])
 
 
 # -- validation ----------------------------------------------------------------
@@ -258,14 +239,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     _check_keys(obstacles, ("extra_points",), "obstacles")
     extra_points = _points(obstacles.get("extra_points", []), "obstacles.extra_points")
     try:
-        return build_parallel_parking(**{"spot": None, **sections}, extra_points=extra_points)
+        return Scenario(**sections, extra_points=extra_points)
     except ValueError as e:
         raise ScenarioError(f"spot: {e}") from e
 
 
 def _write(value):
     """JSON form of a value: a dataclass becomes an object in field order,
-    a tuple (number list, point list) a list."""
+    a tuple (a number list) a list."""
     if is_dataclass(value):
         return {f.name: _write(getattr(value, f.name)) for f in fields(value)}
     return [_write(v) for v in value] if isinstance(value, tuple) else value
@@ -273,7 +254,7 @@ def _write(value):
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     out = {name: _write(getattr(scenario, name)) for name in _SECTIONS if name != "spot"}
-    out["obstacles"] = {"extra_points": _write(scenario.extra_points)}
+    out["obstacles"] = {"extra_points": scenario.extra_points.tolist()}
     if scenario.spot is not None:
         out["spot"] = _write(scenario.spot)
     return out
@@ -293,6 +274,9 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    """Write the scenario as a file `load_scenario` reads back; a value it
+    would refuse, NaN or an infinity, raises ValueError before the file is
+    opened."""
+    text = json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

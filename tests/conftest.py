@@ -19,7 +19,7 @@ from mhhastar import (
     mhha_star,
 )
 from mhhastar.grid import build_occupancy, dijkstra_field
-from mhhastar.scenario import build_parallel_parking, load_scenario
+from mhhastar.scenario import Scenario, load_scenario
 from mhhastar.vehicle import PenaltyConfig
 
 from oracles import uniform_cost_over_primitives
@@ -59,7 +59,7 @@ def benchmark_results(forward_scenario, backward_scenario):
 def make_open_scenario(start, goal, points=(), *, size=15.0, cell=0.3, bins=72):
     """Benchmark-sized vehicle in a bare square workspace; the points double
     as extra_points so the scenario survives a save/load round trip."""
-    return build_parallel_parking(
+    return Scenario(
         workspace=GridSpec(-size, size, -size, size, cell, bins),
         vehicle=VehicleGeometry(4.7, 2.0, 2.7, 1.0, phi_max=0.6),
         spot=None,
@@ -100,7 +100,7 @@ def make_coarse_scenario(setvalue=10**9):
         arc_length=1.0,
         steering_angles=(0.0, -COARSE_PHI, COARSE_PHI),
     )
-    return build_parallel_parking(
+    return Scenario(
         workspace=GridSpec(0.0, 6.0, 0.0, 6.0, 0.5, 8),
         vehicle=VehicleGeometry(0.4, 0.2, 0.2, 0.1, phi_max=COARSE_PHI),
         spot=None,

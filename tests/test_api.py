@@ -15,7 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LIBRARY_API = {
     "Pose", "VehicleGeometry", "ObstacleSet", "GridSpec", "Scenario", "ScenarioError",
-    "SpotSpec", "build_parallel_parking", "load_scenario", "save_scenario", "validate",
+    "SpotSpec", "load_scenario", "save_scenario", "validate",
     "SearchConfig", "PenaltyConfig", "PlanResult", "Termination", "SearchLimitError",
     "mhha_star", "hybrid_a_star", "render_svg", "Arc", "Gear",
 }

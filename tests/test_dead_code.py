@@ -1,8 +1,9 @@
 """Static dead-code check of the package modules, with the stdlib `ast`.
 
-Every name a module imports must be read in that module, and every private
-module-level name (one leading underscore) must be read somewhere in the
-package. `__init__.py` is skipped: its imports are the public re-exports.
+Every name a module imports must be read in that module, and every
+module-level name but a dunder must be read somewhere in the package; a root
+re-export in `__init__.py` counts as a read. `__init__.py` is not checked
+itself: its imports are the public re-exports.
 """
 
 import ast
@@ -44,9 +45,8 @@ def _imports(tree: ast.Module) -> list[str]:
     return out
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level names bound by def, class or assignment that start with
-    one underscore."""
+def _definitions(tree: ast.Module) -> list[str]:
+    """Module-level names bound by def, class or assignment, dunders aside."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -55,7 +55,7 @@ def _private_definitions(tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 out += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
-    return [name for name in out if name.startswith("_") and not name.startswith("__")]
+    return [name for name in out if not name.startswith("__")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -68,6 +68,6 @@ def test_no_unused_import(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_unreferenced_private_name(path):
+def test_no_unreferenced_module_name(path):
     package_reads = set().union(*(_reads(_tree(p)) for p in PACKAGE.glob("*.py")))
-    assert [n for n in _private_definitions(_tree(path)) if n not in package_reads] == []
+    assert [n for n in _definitions(_tree(path)) if n not in package_reads] == []

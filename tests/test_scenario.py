@@ -23,14 +23,13 @@ from mhhastar.scenario import (
     _parking_walls,
     _points,
     _segment_points,
-    build_parallel_parking,
     load_scenario,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate,
 )
-from mhhastar.search import SearchConfig, hybrid_a_star, mhha_star
+from mhhastar.search import SearchConfig, Termination, hybrid_a_star, mhha_star
 from mhhastar.vehicle import PenaltyConfig
 
 from conftest import SCENARIOS as BUNDLED
@@ -47,7 +46,7 @@ def _forward_data() -> dict:
 
 def _spot_at(center_x):
     sc = load_scenario(BUNDLED / "forward_parking.json")
-    return build_parallel_parking(
+    return Scenario(
         workspace=sc.workspace, vehicle=sc.vehicle,
         spot=SpotSpec(3.0, 7.2, center_x), start=sc.start, goal=sc.goal,
     )
@@ -180,7 +179,7 @@ class TestBuild:
 
     def test_spot_outside_workspace_rejected(self, forward_scenario):
         with pytest.raises(ValueError):
-            build_parallel_parking(
+            Scenario(
                 workspace=forward_scenario.workspace,
                 vehicle=forward_scenario.vehicle,
                     spot=SpotSpec(3.0, 100.0, 0.0),
@@ -247,8 +246,27 @@ class TestBuild:
             parking_walls_loop(scenario.workspace, scenario.spot, scenario.goal, WALL_POINT_SPACING),
             dtype=float,
         )
-        assert scenario.wall_count == len(expected) == 906
-        assert scenario.obstacles.points[:scenario.wall_count].tobytes() == expected.tobytes()
+        assert len(expected) == 906 and len(scenario.extra_points) == 0
+        assert scenario.obstacles.points[:906].tobytes() == expected.tobytes()
+
+    def test_scenario_is_keyword_only_and_frozen(self, forward_scenario):
+        sc = forward_scenario
+        with pytest.raises(TypeError):
+            Scenario(sc.workspace, sc.vehicle, sc.start, sc.goal)
+        for name in ("goal", "spot", "extra_points", "obstacles"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sc, name, getattr(sc, name))
+        with pytest.raises(ValueError):  # built in the constructor, never passed
+            dataclasses.replace(sc, obstacles=sc.obstacles)
+        for array in (sc.extra_points, sc.obstacles.points):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_extra_points_are_the_rows_after_the_walls(self, forward_scenario):
+        sc = dataclasses.replace(forward_scenario, extra_points=[(5.0, 5.0), (-3.0, 9.0)])
+        assert np.shares_memory(sc.extra_points, sc.obstacles.points)
+        assert sc.obstacles.points[906:].tobytes() == sc.extra_points.tobytes()
+        assert sc.obstacles.points[:906].tobytes() == forward_scenario.obstacles.points.tobytes()
 
 
 class TestValidate:
@@ -273,7 +291,7 @@ class TestValidate:
         assert any("exceeds phi_max" in v for v in validate(bad))
 
     def test_out_of_workspace_obstacles_flagged(self, forward_scenario):
-        bad = build_parallel_parking(
+        bad = Scenario(
             workspace=forward_scenario.workspace,
             vehicle=forward_scenario.vehicle,
             spot=forward_scenario.spot,
@@ -294,7 +312,7 @@ class TestValidate:
         near = [math.nextafter(e, side * INF) for e in edges for side in (-1, 1)]
         coords = [*edges, *near, 0.0, NAN, INF, -INF]
         points = list(itertools.product(coords, coords))
-        sc = dataclasses.replace(forward_scenario, obstacles=ObstacleSet(points))
+        sc = dataclasses.replace(forward_scenario, spot=None, extra_points=points)
         assert [v for v in validate(sc) if v.startswith("obstacle point")] == [
             f"obstacle point ({x:.3f}, {y:.3f}) outside workspace"
             for x, y in points
@@ -406,8 +424,8 @@ class TestFiles:
         data["obstacles"]["extra_points"] = [[5.0, 5.0], [6.0, 7.0], item]
         if message is None:
             point = scenario_from_dict(data).extra_points[-1]
-            assert point == (float(item[0]), float(item[1]))
-            assert all(type(v) is float for v in point)
+            assert point.dtype == np.float64
+            assert point.tolist() == [float(item[0]), float(item[1])]
         else:
             with pytest.raises(ScenarioError) as err:
                 scenario_from_dict(data)
@@ -433,10 +451,8 @@ class TestFiles:
         data["obstacles"]["extra_points"] = value
         scenario = scenario_from_dict(data)
         extra = scenario.extra_points
-        assert type(extra) is tuple
-        assert all(type(p) is tuple and len(p) == 2 for p in extra)
-        assert all(type(v) is float for p in extra for v in p)
-        assert np.array(extra, dtype=float).reshape(-1, 2).tobytes() == want.tobytes()
+        assert extra.dtype == np.float64 and extra.shape == want.shape
+        assert extra.tobytes() == want.tobytes()
         again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
         assert again.obstacles.points.tobytes() == scenario.obstacles.points.tobytes()
 
@@ -453,7 +469,7 @@ class TestFiles:
         save_scenario(scenario, first)
         loaded = load_scenario(first)
         assert loaded.obstacles.points.tobytes() == scenario.obstacles.points.tobytes()
-        assert loaded.obstacles.points[loaded.wall_count:].tobytes() == cloud.tobytes()
+        assert loaded.extra_points.tobytes() == cloud.tobytes()
         save_scenario(loaded, second)
         assert second.read_text() == first.read_text()
 
@@ -479,7 +495,9 @@ class TestFiles:
             load_scenario(path)
 
     def test_extra_points_round_trip(self, tmp_path, forward_scenario):
-        scenario = build_parallel_parking(
+        # a built scenario saves only its extra points, and the loader
+        # rebuilds the 906 wall points from spot and goal, once
+        scenario = Scenario(
             workspace=forward_scenario.workspace,
             vehicle=forward_scenario.vehicle,
             spot=SpotSpec(3.0, 7.2, 0.0),
@@ -487,25 +505,63 @@ class TestFiles:
             goal=Pose(-1.35, 1.5, 0),
             extra_points=[(5.0, 5.0), (-3.0, 9.0)],
         )
+        assert scenario_to_dict(scenario)["obstacles"] == {"extra_points": [[5.0, 5.0], [-3.0, 9.0]]}
         path = tmp_path / "extra.json"
         save_scenario(scenario, path)
         loaded = load_scenario(path)
-        assert loaded.extra_points == ((5.0, 5.0), (-3.0, 9.0))
-        assert len(loaded.obstacles) == len(scenario.obstacles)
+        assert loaded.extra_points.tolist() == [[5.0, 5.0], [-3.0, 9.0]]
+        assert len(loaded.obstacles) == len(scenario.obstacles) == 906 + 2
+        assert loaded.obstacles.points.tobytes() == scenario.obstacles.points.tobytes()
+
+    def test_replaced_goal_moves_the_walls_and_round_trips(self, tmp_path, forward_scenario):
+        # the spot is centered on the goal's depth, so a moved goal moves the
+        # walls, in memory as after a save and load, and both plan alike
+        goal = forward_scenario.goal
+        moved = dataclasses.replace(forward_scenario, goal=Pose(goal.x, goal.y + 0.5, goal.theta))
+        walls = _parking_walls(moved.workspace, moved.spot, moved.goal, WALL_POINT_SPACING)
+        assert moved.obstacles.points.tobytes() == walls.tobytes()
+        path = tmp_path / "moved.json"
+        save_scenario(moved, path)
+        loaded = load_scenario(path)
+        assert loaded.obstacles.points.tobytes() == moved.obstacles.points.tobytes()
+        plans = [mhha_star(sc.start, sc.goal, sc) for sc in (moved, loaded)]
+        a, b = ((r.termination, r.nodes_expanded, r.iterations, r.path_length, r.path) for r in plans)
+        assert a == b and a[0] is not Termination.NO_SOLUTION
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda sc: dataclasses.replace(sc, search=dataclasses.replace(sc.search, omega_factor=INF)),
+            lambda sc: dataclasses.replace(sc, start=Pose(sc.start.x, sc.start.y, NAN)),
+            lambda sc: dataclasses.replace(
+                sc,
+                search=dataclasses.replace(
+                    sc.search, penalties=dataclasses.replace(sc.search.penalties, steer_hold=NAN)
+                ),
+            ),
+        ],
+        ids=["omega_factor-inf", "start-theta-nan", "steer_hold-nan"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, forward_scenario, change):
+        # JSON has no NaN or Infinity; the saver raises and writes no file
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            save_scenario(change(forward_scenario), path)
+        assert not path.exists()
 
     def test_loaded_obstacles_are_walls_then_extra_points(self):
         data = _forward_data()
         data["obstacles"]["extra_points"] = [[5.0, 5.0], [-3.25, 9.5], [0.1, 0.2]]
         scenario = scenario_from_dict(data)
         walls = _parking_walls(scenario.workspace, scenario.spot, scenario.goal, WALL_POINT_SPACING)
-        assert scenario.extra_points == ((5.0, 5.0), (-3.25, 9.5), (0.1, 0.2))
-        expected = np.concatenate((walls, np.array(scenario.extra_points, dtype=float)))
+        assert scenario.extra_points.tolist() == data["obstacles"]["extra_points"]
+        expected = np.concatenate((walls, scenario.extra_points))
         assert scenario.obstacles.points.dtype == np.float64
         assert np.array_equal(scenario.obstacles.points, expected)
 
     def test_library_int_points_become_float_pairs(self, forward_scenario):
         def build(points):
-            return build_parallel_parking(
+            return Scenario(
                 workspace=forward_scenario.workspace,
                 vehicle=forward_scenario.vehicle,
                     spot=forward_scenario.spot,
@@ -516,15 +572,14 @@ class TestFiles:
 
         from_ints = build([(5, 5), [-3, 9], (np.int64(2), 7)])
         from_floats = build(((5.0, 5.0), (-3.0, 9.0), (2.0, 7.0)))
-        assert from_ints.extra_points == from_floats.extra_points
-        assert all(type(v) is float for pair in from_ints.extra_points for v in pair)
-        assert all(type(pair) is tuple for pair in from_ints.extra_points)
+        assert from_ints.extra_points.dtype == np.float64
+        assert from_ints.extra_points.tobytes() == from_floats.extra_points.tobytes()
         assert np.array_equal(from_ints.obstacles.points, from_floats.obstacles.points)
         assert from_ints.obstacles.points.shape == (len(forward_scenario.obstacles) + 3, 2)
         with pytest.raises(ValueError):
             build([(1.0, 2.0, 3.0)])
 
-    @pytest.mark.parametrize("entry", ["ObstacleSet", "build_parallel_parking"])
+    @pytest.mark.parametrize("entry", ["ObstacleSet", "Scenario"])
     @pytest.mark.parametrize(
         "points",
         [
@@ -540,7 +595,7 @@ class TestFiles:
         def build(points):
             if entry == "ObstacleSet":
                 return ObstacleSet(points)
-            return build_parallel_parking(
+            return Scenario(
                 workspace=forward_scenario.workspace,
                 vehicle=forward_scenario.vehicle,
                 spot=forward_scenario.spot,

@@ -13,7 +13,7 @@ from mhhastar import geometry, heuristics, search
 from mhhastar.geometry import ObstacleSet, Pose, VehicleGeometry, vehicle_collides
 from mhhastar.grid import CellKey, GridSpec, discretize
 from mhhastar.reeds_shepp import rs_shortest
-from mhhastar.scenario import build_parallel_parking, load_scenario, validate
+from mhhastar.scenario import Scenario, load_scenario, validate
 from mhhastar.search import (
     OpenList,
     SearchConfig,
@@ -263,7 +263,7 @@ class TestImmediateCases:
         # just behind the goal pose blocks its cell without touching the car.
         goal = Pose(9.15, 0.15, 0.0)  # a cell center
         point = (goal.x - 0.01, goal.y)
-        sc = build_parallel_parking(
+        sc = Scenario(
             workspace=GridSpec(-15.0, 15.0, -15.0, 15.0, 0.3, 72),
             vehicle=VehicleGeometry(4.7, 2.0, 2.7, 0.0, phi_max=0.6),
             spot=None,
@@ -599,7 +599,7 @@ def swept_fuzz_scenario(rng):
             (cx + rng.uniform(-0.3, 0.3), cy + rng.uniform(-0.3, 0.3))
             for _ in range(rng.randint(1, 6))
         ]
-    return build_parallel_parking(
+    return Scenario(
         workspace=GridSpec(-9.0, 9.0, -6.0, 6.0, cell, rng.choice((16, 36, 72))),
         vehicle=vehicle,
         spot=None,
