@@ -128,11 +128,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    violations = validate(load_scenario(args.scenario))
-    if violations:
-        for v in violations:
-            print(v, file=sys.stderr)
-        return 1
+    _load_checked(args.scenario)
     print("ok")
     return 0
 
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
         return 1 if e.code else 0
     try:
         return args.func(args)
-    except (ScenarioError, SearchLimitError, ValueError, OSError) as e:
+    except (SearchLimitError, ValueError, OSError) as e:  # ScenarioError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -122,7 +122,7 @@ def as_points(points) -> np.ndarray:
 
 class ObstacleSet:
     """Immutable planar point-cloud obstacles, built from anything
-    `as_points` accepts.
+    `as_points` accepts; `points` is a read-only copy of the input.
 
     A private memo maps (floor(x / MEMO_CELL), floor(y / MEMO_CELL), radius)
     to the points within radius + MEMO_CELL of that square's center, as a list
@@ -141,7 +141,7 @@ class ObstacleSet:
     """
 
     def __init__(self, points):
-        pts = as_points(points)
+        pts = as_points(points).copy()
         pts.setflags(write=False)
         self._points = pts
         self._by_x = np.argsort(pts[:, 0])

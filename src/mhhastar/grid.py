@@ -52,8 +52,9 @@ class GridSpec:
     def ny(self) -> int:
         return max(1, math.ceil((self.y_max - self.y_min) / self.cell_size - 1e-9))
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """The closed-workspace test, elementwise on arrays; NaN is outside."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Floor-quantized cell indices; the max boundary folds into the last cell."""
@@ -89,7 +90,7 @@ def build_occupancy(spec: GridSpec, obstacles: ObstacleSet) -> np.ndarray:
     workspace (NaN included) block nothing."""
     blocked = np.zeros((spec.nx, spec.ny), dtype=bool)
     x, y = obstacles.points.T
-    inside = (spec.x_min <= x) & (x <= spec.x_max) & (spec.y_min <= y) & (y <= spec.y_max)
+    inside = spec.contains(x, y)
     ix = np.minimum(np.floor((x[inside] - spec.x_min) / spec.cell_size), spec.nx - 1)
     iy = np.minimum(np.floor((y[inside] - spec.y_min) / spec.cell_size), spec.ny - 1)
     blocked[ix.astype(np.intp), iy.astype(np.intp)] = True

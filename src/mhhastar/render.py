@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .geometry import body_corners
 from .search import PlanResult
-from .vehicle import SAMPLE_SPACING, arc_poses
 
 SCALE = 20.0  # pixels per meter
 
@@ -19,8 +18,8 @@ _GOAL = "#8822aa"
 def render_svg(scenario, result: PlanResult | None = None) -> str:
     """Deterministic SVG document: obstacles, optional expansion tree,
     the planned path, and the vehicle outline at start and goal. The path
-    is drawn from the result's arcs: the drive solid, and the analytic tail
-    dashed from the drive's last sample, each sampled by `arc_poses`."""
+    is drawn from `PlanResult.parts`: the drive solid, the analytic tail
+    dashed."""
     ws = scenario.workspace
     width = (ws.x_max - ws.x_min) * SCALE
     height = (ws.y_max - ws.y_min) * SCALE
@@ -57,9 +56,8 @@ def render_svg(scenario, result: PlanResult | None = None) -> str:
         out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="1.5"/>')
     out.append("</g>")
 
-    if result is not None and result.found:
-        drive = list(arc_poses(result.start, result.drive, SAMPLE_SPACING))
-        tail = list(arc_poses(drive[-1][0], result.tail or (), SAMPLE_SPACING))
+    if result is not None:
+        drive, tail = result.parts
         for poses, stroke in (
             (drive, f'stroke="{_PATH}" stroke-width="2"'),
             (tail, f'stroke="{_TAIL}" stroke-width="2" stroke-dasharray="6 3"'),

@@ -73,12 +73,7 @@ def _parking_walls(
     floor_y = goal.y - spot.depth / 2.0
     left = spot.center_x - spot.length / 2.0
     right = spot.center_x + spot.length / 2.0
-    if not (
-        left >= workspace.x_min
-        and right <= workspace.x_max
-        and floor_y >= workspace.y_min
-        and open_y <= workspace.y_max
-    ):
+    if not (workspace.contains(left, floor_y) and workspace.contains(right, open_y)):
         raise ValueError("spot extends outside the workspace")
     segments = (
         ((workspace.x_min, open_y), (left, open_y)),
@@ -274,9 +269,10 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    """Write the scenario as a file `load_scenario` reads back; a value it
-    would refuse, NaN or an infinity, raises ValueError before the file is
-    opened."""
-    text = json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False)
+    """Write the scenario as a file `load_scenario` reads back; the loader's
+    checks run first, so a value it would refuse raises its ScenarioError,
+    naming the dotted key, before the file is opened."""
+    data = scenario_to_dict(scenario)
+    scenario_from_dict(data)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(data, indent=2) + "\n")

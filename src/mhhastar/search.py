@@ -152,9 +152,8 @@ class PlanResult:
     anchor evaluations, one Reeds–Shepp solve each.
 
     A found path is its start pose, the primitive chain (`drive`) and the
-    analytic tail (`tail`, None without one), all as arcs; `path` samples
-    them with `arc_poses`, and a reader that needs the two parts apart
-    samples each the same way, the tail from the drive's last sample.
+    analytic tail (`tail`, None without one), all as arcs; `parts` samples
+    them with `arc_poses`, and `path` joins the two parts.
     path_length is geometric (meters); cost additionally includes the
     configured penalty surcharges accumulated by the search.
     """
@@ -177,15 +176,20 @@ class PlanResult:
         return self.termination is not Termination.NO_SOLUTION
 
     @property
-    def path(self) -> list[tuple[Pose, Gear]]:
-        """Poses SAMPLE_SPACING apart along the drive, then along the tail
-        from the drive's last sample; empty without a solution."""
+    def parts(self) -> tuple[list[tuple[Pose, Gear]], list[tuple[Pose, Gear]]]:
+        """Poses SAMPLE_SPACING apart along the drive, and along the tail from
+        the drive's last sample ([] without a tail); ([], []) without a solution."""
         if not self.found:
-            return []
-        path = list(arc_poses(self.start, self.drive, SAMPLE_SPACING))
-        if self.tail is not None:
-            path += list(arc_poses(path[-1][0], self.tail, SAMPLE_SPACING))[1:]
-        return path
+            return [], []
+        drive = list(arc_poses(self.start, self.drive, SAMPLE_SPACING))
+        tail = [] if self.tail is None else list(arc_poses(drive[-1][0], self.tail, SAMPLE_SPACING))
+        return drive, tail
+
+    @property
+    def path(self) -> list[tuple[Pose, Gear]]:
+        """The drive's samples, then the tail's after the shared pose."""
+        drive, tail = self.parts
+        return drive + tail[1:]
 
 
 def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> list[str]:
@@ -204,8 +208,7 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
             out.append(f"{name} heading not finite")
         elif vehicle_collides(pose, scenario.vehicle, scenario.obstacles):
             out.append(f"{name} in collision")
-    x, y = scenario.obstacles.points.T
-    inside = (ws.x_min <= x) & (x <= ws.x_max) & (ws.y_min <= y) & (y <= ws.y_max)
+    inside = ws.contains(*scenario.obstacles.points.T)
     out += [
         f"obstacle point ({px:.3f}, {py:.3f}) outside workspace"
         for px, py in scenario.obstacles.points[~inside].tolist()

@@ -200,7 +200,12 @@ class TestValidateCommand:
         bad = tmp_path / "invalid.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", "--scenario", str(bad)]) == 1
-        assert "omega_factor < 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "omega_factor < 1" in err
+        # one report for an invalid scenario, from validate as from plan
+        assert err == f"error: {bad}: invalid scenario:\n  omega_factor < 1\n"
+        assert main(["plan", "--scenario", str(bad), "--planner", "mhha"]) == 1
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("arc_length", [0.0, -1.0])
     def test_non_positive_arc_length_loads_and_is_refused(
@@ -314,6 +319,29 @@ class TestRender:
         result = benchmark_results[("forward", "mhha")]
         doc = render_svg(forward_scenario, result)
         assert doc.count("<polyline") >= 2  # driven part plus analytic tail
+
+    @pytest.mark.parametrize("drop_tail", [False, True], ids=["with-tail", "no-tail"])
+    @pytest.mark.parametrize("case", [(s, p) for s in ("forward", "backward") for p in ("mhha", "hybrid")])
+    def test_svg_polylines_are_the_path_samples(
+        self, forward_scenario, backward_scenario, benchmark_results, case, drop_tail
+    ):
+        # the drive's polyline, then the tail's after the pose they share,
+        # are exactly `result.path`, scaled and printed to 0.01 px
+        scenario = {"forward": forward_scenario, "backward": backward_scenario}[case[0]]
+        result = benchmark_results[case]
+        if drop_tail:
+            result = dataclasses.replace(result, tail=None)
+        ws = scenario.workspace
+        lines = [
+            e.get("points").split()
+            for e in ET.fromstring(render_svg(scenario, result)).iter()
+            if e.tag.endswith("polyline")
+        ]
+        assert len(lines) == (1 if result.tail is None else 2)
+        drawn = lines[0] + [p for line in lines[1:] for p in line[1:]]
+        assert drawn == [
+            f"{(p.x - ws.x_min) * SCALE:.2f},{(ws.y_max - p.y) * SCALE:.2f}" for p, _ in result.path
+        ]
 
     def test_svg_size_follows_scale(self, forward_scenario):
         root = ET.fromstring(render_svg(forward_scenario))

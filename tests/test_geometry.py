@@ -203,6 +203,14 @@ class TestVehicleCollides:
 
 
 class TestObstacleSetQuery:
+    def test_later_writes_to_the_input_change_nothing(self):
+        pts = np.array([[0.0, 0.0], [10.0, 0.0]])
+        obstacles = ObstacleSet(pts)
+        pts[1] = [0.5, 0.0]
+        assert obstacles.points.tolist() == [[0.0, 0.0], [10.0, 0.0]]
+        assert obstacles.query(0, 0, 1.0).tolist() == [[0.0, 0.0]]
+        assert not obstacles.points.flags.writeable
+
     def test_query_matches_brute_force(self):
         rng = random.Random(11)
         pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(300)]

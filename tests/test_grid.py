@@ -56,6 +56,23 @@ class TestGridSpec:
     def test_max_boundary_folds_into_last_cell(self):
         assert SPEC.cell_of(21.0, 11.0) == (139, 39)
 
+    def test_contains_on_arrays_equals_scalar_answers(self):
+        # the one inside test serves a pose and a point array alike: the
+        # exact bounds, one ulp either side of them, NaN and +-inf
+        edges = (SPEC.x_min, SPEC.x_max, SPEC.y_min, SPEC.y_max)
+        near = [math.nextafter(e, side * math.inf) for e in edges for side in (-1, 1)]
+        coords = [*edges, *near, 0.0, math.nan, math.inf, -math.inf]
+        xs, ys = (np.array(c) for c in zip(*[(x, y) for x in coords for y in coords]))
+        got = SPEC.contains(xs, ys)
+        assert got.dtype == bool
+        assert got.tolist() == [bool(SPEC.contains(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert got.tolist() == [
+            SPEC.x_min <= x <= SPEC.x_max and SPEC.y_min <= y <= SPEC.y_max
+            for x, y in zip(xs.tolist(), ys.tolist())
+        ]
+        assert SPEC.contains(SPEC.x_max, SPEC.y_min) is True
+        assert SPEC.contains(near[3], 0.0) is False  # one ulp past x_max
+
 
 class TestDiscretize:
     def test_min_corner(self):

@@ -529,25 +529,61 @@ class TestFiles:
         assert a == b and a[0] is not Termination.NO_SOLUTION
 
     @pytest.mark.parametrize(
-        "change",
+        "key, change",
         [
-            lambda sc: dataclasses.replace(sc, search=dataclasses.replace(sc.search, omega_factor=INF)),
-            lambda sc: dataclasses.replace(sc, start=Pose(sc.start.x, sc.start.y, NAN)),
-            lambda sc: dataclasses.replace(
-                sc,
-                search=dataclasses.replace(
-                    sc.search, penalties=dataclasses.replace(sc.search.penalties, steer_hold=NAN)
+            (
+                "search.omega_factor",
+                lambda sc: dataclasses.replace(sc, search=dataclasses.replace(sc.search, omega_factor=INF)),
+            ),
+            ("start.theta", lambda sc: dataclasses.replace(sc, start=Pose(sc.start.x, sc.start.y, NAN))),
+            (
+                "search.penalties.steer_hold",
+                lambda sc: dataclasses.replace(
+                    sc,
+                    search=dataclasses.replace(
+                        sc.search, penalties=dataclasses.replace(sc.search.penalties, steer_hold=NAN)
+                    ),
                 ),
             ),
+            (
+                "search.setvalue",
+                lambda sc: dataclasses.replace(sc, search=dataclasses.replace(sc.search, setvalue=2.5)),
+            ),
+            (
+                "workspace.heading_bins",
+                lambda sc: dataclasses.replace(
+                    sc, workspace=dataclasses.replace(sc.workspace, heading_bins=72.5)
+                ),
+            ),
+            (
+                "search.max_iterations",
+                lambda sc: dataclasses.replace(sc, search=dataclasses.replace(sc.search, max_iterations=True)),
+            ),
         ],
-        ids=["omega_factor-inf", "start-theta-nan", "steer_hold-nan"],
+        ids=[
+            "omega_factor-inf", "start-theta-nan", "steer_hold-nan",
+            "setvalue-2.5", "heading_bins-72.5", "max_iterations-True",
+        ],
     )
-    def test_save_refuses_what_load_refuses(self, tmp_path, forward_scenario, change):
-        # JSON has no NaN or Infinity; the saver raises and writes no file
+    def test_save_refuses_what_load_refuses(self, tmp_path, forward_scenario, key, change):
+        # the saver runs the loader's checks: it raises the loader's error,
+        # naming the dotted key, and writes no file
         path = tmp_path / "bad.json"
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: "):
             save_scenario(change(forward_scenario), path)
         assert not path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=search_configs())
+    def test_save_writes_only_what_load_reads_back(self, tmp_path_factory, forward_scenario, config):
+        scenario = dataclasses.replace(forward_scenario, search=config)
+        path = tmp_path_factory.mktemp("save") / "scenario.json"
+        try:
+            save_scenario(scenario, path)
+        except ScenarioError:
+            assert not path.exists()
+            return
+        assert scenario_to_dict(load_scenario(path)) == scenario_to_dict(scenario)
 
     def test_loaded_obstacles_are_walls_then_extra_points(self):
         data = _forward_data()
