@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+TWO_PI, _PI, _NEG_PI = 2.0 * math.pi, math.pi, -math.pi
 
 Point = tuple[float, float]
 
@@ -33,11 +33,13 @@ _BLOCK_REACH = MEMO_BLOCK / 2 * MEMO_CELL * math.sqrt(2.0) + 1e-6
 
 
 def normalize_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+    """Wrap an angle to (-pi, pi] as a float; fmod is exact, so one in range is returned as is."""
+    if _NEG_PI < theta <= _PI:
+        return float(theta)
     theta = math.fmod(theta, TWO_PI)
-    if theta <= -math.pi:
+    if theta <= _NEG_PI:
         theta += TWO_PI
-    elif theta > math.pi:
+    elif theta > _PI:
         theta -= TWO_PI
     return theta
 
@@ -51,7 +53,8 @@ class Pose:
     theta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
+        if (theta := normalize_angle(self.theta)) is not self.theta:  # not an in-range float
+            object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Pose, normalize_angle
-from .vehicle import SAMPLE_SPACING, Arc, Gear, advance_arc, arc_stations, bisection_order
+from .vehicle import SAMPLE_SPACING, Arc, ArcStations, Gear, advance_arc, bisection_order
 
 
 @dataclass(frozen=True)
@@ -317,12 +317,12 @@ def rs_shortest(start: Pose, goal: Pose, turning_radius: float) -> RSPath:
 
 def rs_collision_free(path: RSPath, start: Pose, geometry, obstacles) -> bool:
     """True iff the vehicle clears the obstacles at every pose `arc_poses`
-    samples: the start, then each station of `arc_stations`. Visits them in
-    bisection order (start, middle, quarters, ...), builds each pose only
-    when it is visited, and returns False at the first colliding one."""
+    samples: the start, then each station of `ArcStations`. Visits them in
+    bisection order (start, middle, quarters, ...), builds each station and
+    pose only when visited, and returns False at the first colliding one."""
     from .geometry import vehicle_collides
 
-    stations = arc_stations(start, path.segments, SAMPLE_SPACING)
+    stations = ArcStations(start, path.segments, SAMPLE_SPACING)
     for k in bisection_order(len(stations) + 1):
         pose = advance_arc(*stations[k - 1]) if k else start
         if vehicle_collides(pose, geometry, obstacles):

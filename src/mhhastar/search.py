@@ -36,12 +36,12 @@ from .reeds_shepp import RSPath, rs_collision_free, rs_shortest
 from .vehicle import (
     SAMPLE_SPACING,
     Arc,
+    ArcStations,
     Gear,
     PenaltyConfig,
     Primitive,
     advance_arc,
     arc_poses,
-    arc_stations,
     primitive_table,
     step_cost,
     successors,
@@ -196,9 +196,9 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
     """Every rule the planner input breaks, empty when the planners accept
     it: the endpoints, the obstacle points, the config, and the primitives
     against the grid and the steering limit. Each test is written as "ok"
-    so that NaN fails it, but for the +inf tests of the penalties and the
-    arc length, which leave NaN to the range tests before them so that NaN
-    reads one problem."""
+    so that NaN fails it, but for the whole-number tests and the +inf tests
+    of the penalties and the arc length, which leave NaN to the range tests
+    before them so that NaN reads one problem."""
     ws = scenario.workspace
     out = []
     for name, pose in (("start", start), ("goal", goal)):
@@ -221,6 +221,11 @@ def input_problems(start: Pose, goal: Pose, scenario, config: SearchConfig) -> l
         (config.omega_factor >= 1.0, "omega_factor < 1"),
         (config.setvalue >= 1, "setvalue < 1"),
         (config.max_iterations >= 1, "max_iterations < 1"),
+        *(  # the loader's integer rule: no bool, no number that is not whole
+            (not isinstance(v, bool) and (v % 1 == 0 or math.isnan(v)), f"{k} {v!r} is not a whole number")
+            for k, v in (("setvalue", config.setvalue), ("max_iterations", config.max_iterations),
+                         ("heading_bins", ws.heading_bins))
+        ),
         *(
             (f >= 1.0, f"inflation factor #{i} < 1")
             for i, f in enumerate(config.inflation_factors, start=1)
@@ -258,20 +263,21 @@ class _Search:
         self.spec: GridSpec = scenario.workspace
         self.obstacles: ObstacleSet = scenario.obstacles
         self.vehicle: VehicleGeometry = scenario.vehicle
-        self.wheelbase = scenario.vehicle.wheelbase
         self.turning_radius = scenario.vehicle.turning_radius
 
-        self.primitives = primitive_table(config.arc_length, config.steering_angles, self.wheelbase)
+        self.primitives = primitive_table(config.arc_length, config.steering_angles, self.vehicle.wheelbase)
         # Per primitive, the slice of the sweep's bodies that sit at the
         # poses it adds to a path, relative to the primitive's start.
         origin = Pose(0.0, 0.0, 0.0)
         self.samples: list[slice] = []
         sample_poses: list[Pose] = []
         for primitive in self.primitives:
-            stations = arc_stations(origin, [primitive.arc], SAMPLE_SPACING)
+            stations = ArcStations(origin, [primitive.arc], SAMPLE_SPACING)
             self.samples.append(slice(len(sample_poses), len(sample_poses) + len(stations)))
             sample_poses += [advance_arc(*station) for station in stations]
         self.sweep = body_sweep(self.vehicle, tuple(sample_poses))
+        # Per previous primitive (None at the start), each primitive's step cost; filled as read.
+        self.step_costs: dict[Primitive | None, list[float]] = {}
         self.rs_margin = RS_MARGIN * (1.0 + self.turning_radius)
 
         t0 = time.perf_counter()
@@ -326,18 +332,26 @@ class _Search:
         # value, so it is the Reeds-Shepp length when above the holonomic value.
         if s.h_anchor is not None and s.h_anchor > self.field.at(s.cell.ix, s.cell.iy):
             rs_floor = s.h_anchor - self.rs_margin
-        for (primitive, end), samples in zip(successors(s.pose, self.primitives), self.samples):
-            if not self.spec.contains(end.x, end.y):
+        spec = self.spec  # discretize's operands, to quantize after one inside test
+        x0, y0, size, bins = spec.x_min, spec.y_min, spec.cell_size, spec.heading_bins
+        last_ix, last_iy, bin_width = spec.nx - 1, spec.ny - 1, 2.0 * math.pi / bins
+        if (costs := self.step_costs.get(s.step)) is None:  # the first expansion after s.step
+            costs = [step_cost(p, s.step, self.config.penalties) for p in self.primitives]
+            self.step_costs[s.step] = costs
+        for (primitive, end), cost, samples in zip(successors(s.pose, self.primitives), costs, self.samples):
+            if not spec.contains(end.x, end.y):
                 continue
             gear, _, length = primitive.arc
-            cell = discretize(end, gear, self.spec)
+            ix = min(math.floor((end.x - x0) / size), last_ix)
+            iy = min(math.floor((end.y - y0) / size), last_iy)
+            cell = CellKey(ix, iy, round(end.theta / bin_width) % bins, gear)
             node = self.nodes.get(cell)
             if node is not None and node.closed:
                 continue
-            h_holonomic = self.field.at(cell.ix, cell.iy)
+            h_holonomic = self.field.at(ix, iy)
             if math.isinf(h_holonomic):
                 continue  # walled off; the anchor heuristic would be infinite
-            g_new = s.g + step_cost(primitive, s.step, self.config.penalties)
+            g_new = s.g + cost
             if node is not None and g_new >= node.g:
                 continue
             if hits is not None and any(hits[samples]):

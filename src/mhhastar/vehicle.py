@@ -5,8 +5,9 @@ arcs into path poses."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -45,6 +46,14 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x
 
 
+def _arc_terms(gear: Gear, curvature: float, ds: float) -> tuple[float, float, float]:
+    """(sigma * chord, half-angle, heading change): `advance_arc`'s terms."""
+    sigma = float(gear)
+    alpha = sigma * curvature * ds
+    half = 0.5 * alpha
+    return sigma * (ds * _sinc(half)), half, alpha
+
+
 def advance_arc(start: Pose, gear: Gear, curvature: float, ds: float) -> Pose:
     """Move `ds` meters along a constant-curvature arc (straight at zero).
 
@@ -52,16 +61,9 @@ def advance_arc(start: Pose, gear: Gear, curvature: float, ds: float) -> Pose:
     heading theta + a/2, where a is the signed heading change. Unlike the
     difference-of-sines form it does not cancel for tiny curvatures.
     """
-    sigma = float(gear)
-    alpha = sigma * curvature * ds
-    half = 0.5 * alpha
-    chord = ds * _sinc(half)
-    mid = start.theta + half
-    return Pose(
-        start.x + sigma * chord * math.cos(mid),
-        start.y + sigma * chord * math.sin(mid),
-        start.theta + alpha,  # Pose wraps it to (-pi, pi]
-    )
+    reach, half, alpha = _arc_terms(gear, curvature, ds)
+    mid = start.theta + half  # Pose wraps start.theta + alpha to (-pi, pi]
+    return Pose(start.x + reach * math.cos(mid), start.y + reach * math.sin(mid), start.theta + alpha)
 
 
 class Arc(NamedTuple):
@@ -80,47 +82,71 @@ class Primitive(NamedTuple):
     arc: Arc
 
 
+class PrimitiveTable(tuple):
+    """Primitives, and what `successors` reads of them, worked out once: the
+    distinct `halves` (+0.0 and -0.0 apart: their sines differ at a heading of
+    -0.0) and per primitive `moves`, (primitive, half index, sigma * chord, alpha)."""
+
+    def __new__(cls, primitives: Iterable[Primitive]) -> PrimitiveTable:
+        table = super().__new__(cls, primitives)
+        terms = [(p, *_arc_terms(*p.arc)) for p in table]
+        keys = list(dict.fromkeys((half, math.copysign(1.0, half)) for _, _, half, _ in terms))
+        table.halves = tuple(half for half, _ in keys)
+        table.moves = tuple((p, keys.index((h, math.copysign(1.0, h))), r, a) for p, r, h, a in terms)
+        return table
+
+
 def primitive_table(
     arc_length: float, steering_angles: Sequence[float], wheelbase: float
-) -> tuple[Primitive, ...]:
+) -> PrimitiveTable:
     """One primitive per (gear, steering) pair, forward gears before reverse,
     steering angles in listed order; each drives arc_length at curvature
     tan(steering) / wheelbase."""
-    return tuple(
+    return PrimitiveTable(
         Primitive(steer, Arc(gear, math.tan(steer) / wheelbase, arc_length))
         for gear in (Gear.FORWARD, Gear.REVERSE)
         for steer in steering_angles
     )
 
 
-def arc_steps(length: float, spacing: float) -> int:
-    """How many poses `arc_poses` gives along one arc after its start pose,
-    the last at its end."""
-    return max(math.ceil(length / spacing - 1e-9), 1)
-
-
 Station = tuple[Pose, Gear, float, float]  # arc start, gear, curvature, distance along the arc
 
 
-def arc_stations(start: Pose, arcs: Sequence[Arc], spacing: float) -> list[Station]:
-    """The stations of every pose `arc_poses` gives after the start pose:
-    each arc's every `spacing` m, then its end, where the next arc starts."""
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    stations = []
-    pose = start
-    for gear, curvature, length in arcs:
-        stations += [(pose, gear, curvature, k * spacing) for k in range(1, arc_steps(length, spacing))]
-        stations.append((pose, gear, curvature, length))
-        pose = advance_arc(pose, gear, curvature, length)
-    return stations
+class ArcStations:
+    """The stations of every pose `arc_poses` gives after the start pose, each
+    arc's every `spacing` m, then its end, where the next arc starts: a lazily
+    indexed sequence, which works out the arcs' start poses up front."""
+
+    def __init__(self, start: Pose, arcs: Sequence[Arc], spacing: float):
+        if spacing <= 0.0:
+            raise ValueError("spacing must be positive")
+        # per arc: the index of its first station; (start pose, gear, curvature, length, stations)
+        self._firsts, self._runs = [], []
+        self._len, self._spacing = 0, spacing
+        for arc in arcs:
+            steps = max(math.ceil(arc.length / spacing - 1e-9), 1)  # the last at the arc's end
+            self._firsts.append(self._len)
+            self._runs.append((start, *arc, steps))
+            self._len += steps
+            start = advance_arc(start, *arc)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Station:
+        if not 0 <= i < self._len:
+            raise IndexError("station index out of range")
+        j = bisect_right(self._firsts, i) - 1
+        pose, gear, curvature, length, steps = self._runs[j]
+        k = i - self._firsts[j] + 1
+        return pose, gear, curvature, k * self._spacing if k < steps else length
 
 
 def arc_poses(start: Pose, arcs: Sequence[Arc], spacing: float) -> Iterator[tuple[Pose, Gear]]:
     """The start pose, then each arc's poses `spacing` m apart (last step
     shorter) ending exactly at its length, where the next arc starts; every
     pose is tagged with its arc's gear, the start with the first arc's."""
-    stations = arc_stations(start, arcs, spacing)
+    stations = ArcStations(start, arcs, spacing)
     yield start, arcs[0].gear if arcs else Gear.FORWARD
     for station in stations:
         yield advance_arc(*station), station[1]
@@ -140,9 +166,12 @@ def bisection_order(n: int) -> Iterator[int]:
             spans += ((lo, mid), (mid, hi))
 
 
-def successors(pose: Pose, primitives: Sequence[Primitive]) -> list[tuple[Primitive, Pose]]:
-    """Each primitive of the table with the pose it ends at from `pose`."""
-    return [(primitive, advance_arc(pose, *primitive.arc)) for primitive in primitives]
+def successors(pose: Pose, primitives: PrimitiveTable) -> list[tuple[Primitive, Pose]]:
+    """Each primitive of the table with the pose it ends at from `pose`, bit
+    for bit `advance_arc`'s, with one cos/sin pair per distinct half-angle."""
+    x, y, theta = pose.x, pose.y, pose.theta
+    trig = [(math.cos(theta + half), math.sin(theta + half)) for half in primitives.halves]
+    return [(p, Pose(x + r * trig[k][0], y + r * trig[k][1], theta + a)) for p, k, r, a in primitives.moves]
 
 
 def step_cost(primitive: Primitive, previous: Primitive | None, penalties: PenaltyConfig) -> float:

@@ -18,7 +18,7 @@ from mhhastar.geometry import (
     vehicle_collides,
 )
 from mhhastar.scenario import load_scenario
-from mhhastar.vehicle import advance_arc, arc_stations, primitive_table
+from mhhastar.vehicle import ArcStations, advance_arc, primitive_table
 
 from conftest import SCENARIOS
 from oracles import point_in_rectangle, polygon_contains, rectangle_corners, world_to_body
@@ -45,6 +45,47 @@ class TestPose:
         assert -math.pi < wrapped <= math.pi
         assert math.isclose(math.sin(wrapped), math.sin(theta), abs_tol=1e-12)
         assert math.isclose(math.cos(wrapped), math.cos(theta), abs_tol=1e-12)
+
+
+def fmod_wrap(theta):
+    """normalize_angle as the fmod formula alone computes it."""
+    theta = math.fmod(theta, 2.0 * math.pi)
+    if theta <= -math.pi:
+        theta += 2.0 * math.pi
+    elif theta > math.pi:
+        theta -= 2.0 * math.pi
+    return theta
+
+
+class TestNormalizeAngle:
+    EDGES = [
+        math.pi, -math.pi, 0.0, -0.0,
+        math.nextafter(math.pi, math.inf), math.nextafter(math.pi, -math.inf),
+        math.nextafter(-math.pi, math.inf), math.nextafter(-math.pi, -math.inf),
+        2.0 * math.pi, -2.0 * math.pi, 1e300, -1e300, 5e-324, math.nan,
+    ]
+
+    def test_equals_the_fmod_formula_bit_for_bit(self):
+        rng = random.Random(31)
+        angles = self.EDGES + [rng.uniform(-4.0, 4.0) for _ in range(5000)]
+        angles += [rng.uniform(-1e6, 1e6) for _ in range(2000)]
+        for theta in angles:
+            assert normalize_angle(theta).hex() == fmod_wrap(theta).hex(), theta
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    def test_infinite_angle_raises_like_fmod(self, theta):
+        with pytest.raises(ValueError):
+            fmod_wrap(theta)
+        with pytest.raises(ValueError):
+            normalize_angle(theta)
+
+    def test_in_range_heading_is_kept_and_others_become_floats(self):
+        theta = 0.25
+        assert Pose(0.0, 0.0, theta).theta is theta
+        assert normalize_angle(theta) is theta
+        for value in (0, True, np.float64(0.5), np.float64(4.0)):
+            wrapped = Pose(0.0, 0.0, value).theta
+            assert type(wrapped) is float and wrapped == fmod_wrap(value)
 
 
 class TestGeometryValidation:
@@ -396,12 +437,12 @@ class TestBodySweep:
     @staticmethod
     def _table(geometry, primitives):
         """Per primitive, its arc and the distances of its samples in
-        `arc_stations` order, as the search's table holds them, and the sweep
+        `ArcStations` order, as the search's table holds them, and the sweep
         over every sample's pose relative to its start."""
         origin = Pose(0.0, 0.0, 0.0)
         table, poses = [], []
         for primitive in primitives:
-            stations = arc_stations(origin, [primitive.arc], 0.1)
+            stations = ArcStations(origin, [primitive.arc], 0.1)
             table.append((primitive.arc, [station[3] for station in stations]))
             poses += [advance_arc(*station) for station in stations]
         return table, BodySweep(geometry, poses)

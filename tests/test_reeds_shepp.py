@@ -295,6 +295,37 @@ class TestBisectionOrderCheck:
             assert [repr(pose) for pose in visited] == [samples[k] for k in order]
 
 
+    def test_builds_only_the_stations_it_visits(self, monkeypatch):
+        # A station is built when its pose is checked and not before: a
+        # check that stops at the k-th visited pose has read k - 1 stations.
+        read = []
+
+        class Counted(reeds_shepp.ArcStations):
+            def __getitem__(self, i):
+                read.append(i)
+                return super().__getitem__(i)
+
+        monkeypatch.setattr(reeds_shepp, "ArcStations", Counted)
+        rng = random.Random(111)
+        for i in range(40):
+            start = random_pose(rng, 3)
+            path = random_word(rng, 1 + i % 5)
+            poses = [pose for pose, _ in arc_poses(start, path.segments, 0.1)]
+            order = list(bisection_order(len(poses)))
+            stop = rng.randrange(len(order))
+            read.clear()
+            checked = []
+
+            def record(pose, geometry, obstacles):
+                checked.append(pose)
+                return len(checked) == stop + 1
+
+            monkeypatch.setattr(mhhastar.geometry, "vehicle_collides", record)
+            assert not rs_collision_free(path, start, self.CAR, ObstacleSet([]))
+            assert checked == [poses[k] for k in order[: stop + 1]]
+            assert read == [k - 1 for k in order[1 : stop + 1]]
+
+
 def bit_identity_cases():
     """21,000 seeded (start, goal, radius) triples: random pairs, lattice
     pairs where distinct words tie, near-coincident pairs, and goals whose

@@ -24,7 +24,15 @@ from mhhastar.search import (
     hybrid_a_star,
     mhha_star,
 )
-from mhhastar.vehicle import SAMPLE_SPACING, Gear, advance_arc, arc_poses, primitive_table
+from mhhastar.vehicle import (
+    SAMPLE_SPACING,
+    Gear,
+    PenaltyConfig,
+    advance_arc,
+    arc_poses,
+    primitive_table,
+    step_cost,
+)
 
 from conftest import SCENARIOS, make_coarse_scenario, make_open_scenario
 from test_reeds_shepp import bit_identity_cases
@@ -334,6 +342,36 @@ class TestImmediateCases:
             problems = validate(dataclasses.replace(sc, search=dataclasses.replace(sc.search, penalties=penalties)))
             assert len(problems) == 1 and problems[0].startswith(f"penalties.{f.name} < "), problems
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("search", "setvalue", 2.5),
+            ("workspace", "heading_bins", 72.5),
+            ("search", "max_iterations", True),
+            ("search", "setvalue", math.inf),
+        ],
+    )
+    def test_integer_field_must_be_whole(self, forward_scenario, section, key, value):
+        # the loader's integer rule: what a scenario file may not hold, the
+        # planners refuse in a scenario built in code
+        part = dataclasses.replace(getattr(forward_scenario, section), **{key: value})
+        sc = dataclasses.replace(forward_scenario, **{section: part})
+        message = f"{key} {value!r} is not a whole number"
+        assert validate(sc) == [message]
+        for plan in (mhha_star, hybrid_a_star):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                plan(sc.start, sc.goal, sc)
+
+    def test_whole_float_accepted_and_nan_integer_reads_one_problem(self, forward_scenario):
+        sc = dataclasses.replace(
+            forward_scenario,
+            workspace=dataclasses.replace(forward_scenario.workspace, heading_bins=72.0),
+            search=dataclasses.replace(forward_scenario.search, setvalue=5.0),
+        )
+        assert validate(sc) == []
+        nan = dataclasses.replace(sc, search=dataclasses.replace(sc.search, setvalue=math.nan))
+        assert validate(nan) == ["setvalue < 1"]
+
     def test_iteration_cap_is_an_error(self):
         sc = make_open_scenario(Pose(-8, 0, 0), Pose(8, 8, math.pi / 2))
         config = dataclasses.replace(SearchConfig(), max_iterations=3, setvalue=10**9)
@@ -432,6 +470,47 @@ class TestExpandNode:
         s, start = make_searcher(sc)
         s.expand_node(start)
         assert len(s.nodes) == 1 + 6  # start plus one node per primitive
+
+    def test_step_cost_table_equals_step_cost(self):
+        # one row per previous primitive, None at the start, built when a node
+        # reached by it is first expanded and read bit for bit
+        rng = random.Random(23)
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))
+        for steering in ((-0.6, 0.0, 0.6), (0.3, 0.3, -0.0, 0.0, -0.6), (0.6,)):
+            penalties = PenaltyConfig(*(rng.uniform(1.0, 4.0) for _ in range(4)))
+            config = dataclasses.replace(sc.search, steering_angles=steering, penalties=penalties)
+            s, root = make_searcher(dataclasses.replace(sc, search=config))
+            assert s.step_costs == {}
+            s.expand_node(root)
+            for child in [n for n in s.nodes.values() if n.bp is root]:
+                s.expand_node(child)
+            assert set(s.step_costs) == {None, *s.primitives}
+            for previous, row in s.step_costs.items():
+                assert [c.hex() for c in row] == [
+                    step_cost(primitive, previous, penalties).hex() for primitive in s.primitives
+                ]
+
+    def test_children_keyed_and_priced_as_discretize_and_step_cost(self):
+        # expand_node quantizes inline and reads the step-cost table; every
+        # child's cell and g are those discretize and step_cost give, also
+        # on the workspace's max edges, which fold into the last cells
+        rng = random.Random(29)
+        sc = make_open_scenario(Pose(0, 0, 0), Pose(2, 0, 0), size=4.5, bins=16)
+        spec, penalties = sc.workspace, sc.search.penalties
+        starts = [Pose(4.0, 0.0, 0.0), Pose(0.28, 4.0, math.pi / 2)]  # straight ahead ends on an edge
+        starts += [Pose(rng.uniform(3.0, 4.5), rng.uniform(3.0, 4.5), rng.uniform(-4, 4)) for _ in range(30)]
+        on_edge = 0
+        for start in starts:
+            s, root = make_searcher(dataclasses.replace(sc, start=start))
+            s.expand_node(root)
+            for child in [n for n in s.nodes.values() if n.bp is root]:
+                s.expand_node(child)
+            for node in s.nodes.values():
+                if node.bp is not None:
+                    assert node.cell == discretize(node.pose, node.step.arc.gear, spec)
+                    assert node.g == node.bp.g + step_cost(node.step, node.bp.step, penalties)
+                    on_edge += node.pose.x == spec.x_max or node.pose.y == spec.y_max
+        assert on_edge >= 2
 
     def test_rediscovery_with_larger_g_keeps_entry(self):
         sc = make_open_scenario(Pose(0, 0, 0), Pose(10, 0, 0))

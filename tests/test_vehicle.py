@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mhhastar.geometry import Pose, VehicleGeometry, normalize_angle
 from mhhastar.vehicle import (
     Arc,
+    ArcStations,
     Gear,
     PenaltyConfig,
     Primitive,
     advance_arc,
     arc_poses,
-    arc_steps,
     bisection_order,
     primitive_table,
     step_cost,
@@ -131,10 +131,14 @@ class TestArcPoses:
     def test_no_arcs_yields_the_start(self):
         assert list(arc_poses(self.START, [], 0.1)) == [(self.START, Gear.FORWARD)]
 
-    @pytest.mark.parametrize("length", [0.0, 0.05, 0.1, 0.25, 0.50000000005, 0.6, 1.2])
+    # arc length -> stations (poses after the start) along the arc, the last at its end
+    STEPS = {0.0: 1, 0.05: 1, 0.1: 1, 0.25: 3, 0.50000000005: 5, 0.6: 6, 1.2: 12}
+
+    @pytest.mark.parametrize("length", list(STEPS))
     def test_arc_steps_counts_the_poses_after_the_start(self, length):
-        poses = list(arc_poses(self.START, [Arc(Gear.REVERSE, 0.2, length)], 0.1))
-        assert len(poses) == 1 + arc_steps(length, 0.1)
+        arcs = [Arc(Gear.REVERSE, 0.2, length)]
+        assert len(ArcStations(self.START, arcs, 0.1)) == self.STEPS[length]
+        assert len(list(arc_poses(self.START, arcs, 0.1))) == 1 + self.STEPS[length]
 
 
 class TestBisectionOrder:
@@ -184,6 +188,66 @@ class TestSuccessors:
         straight, end = successors(Pose(0, 0, 0), TABLE)[1]
         assert straight.steering == 0.0
         assert (end.x, end.y, end.theta) == (0.5, 0.0, 0.0)
+
+    def test_shipped_table_shares_its_trig(self):
+        # +-h, then the straights' +0.0 and -0.0 (reverse straight) half-angles
+        assert len(TABLE.halves) == 4
+        assert [k for _, k, _, _ in TABLE.moves] == [0, 1, 2, 2, 3, 0]
+
+    def test_end_poses_equal_advance_arc_bit_for_bit(self):
+        # Every end pose, -0.0 and the wrap at +-pi included, is the one
+        # advance_arc gives; hex() tells -0.0 from 0.0.
+        rng = random.Random(17)
+        edges = [
+            math.pi, -math.pi, 0.0, -0.0,
+            math.nextafter(math.pi, 0.0), math.nextafter(math.pi, math.inf),
+            math.nextafter(-math.pi, 0.0), math.nextafter(-math.pi, -math.inf),
+        ]
+        poses = [Pose(-0.0, -0.0, theta) for theta in edges]
+        poses += [Pose(rng.uniform(-30, 30), rng.uniform(-30, 30), theta) for theta in edges]
+        poses += [Pose(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(-4, 4)) for _ in range(300)]
+        tables = [
+            TABLE,
+            primitive_table(0.5, (0.3, 0.3, -0.6, 0.0, 0.0, -0.0), WHEELBASE),
+            primitive_table(1.2, (-0.0,), 1.4),
+            primitive_table(0.7, (-0.6, -0.17, 1e-9, 0.41, 0.6), 3.1),
+        ]
+        for table in tables:
+            for pose in poses:
+                steps = successors(pose, table)
+                assert [p for p, _ in steps] == list(table)
+                assert all(got is want for (got, _), want in zip(steps, table))
+                for primitive, end in steps:
+                    want = advance_arc(pose, *primitive.arc)
+                    assert [v.hex() for v in (end.x, end.y, end.theta)] == [
+                        v.hex() for v in (want.x, want.y, want.theta)
+                    ], (pose, primitive)
+
+
+class TestArcStations:
+    ARCS = (Arc(Gear.FORWARD, 0.2, 0.6), Arc(Gear.REVERSE, -0.3, 0.25), Arc(Gear.REVERSE, 0.0, 0.05))
+
+    def test_stations_in_order(self):
+        start = Pose(1.0, -2.0, 0.3)
+        joint = advance_arc(start, *self.ARCS[0])
+        last = advance_arc(joint, *self.ARCS[1])
+        assert list(ArcStations(start, self.ARCS, 0.1)) == [
+            *((start, Gear.FORWARD, 0.2, k * 0.1) for k in range(1, 6)),
+            (start, Gear.FORWARD, 0.2, 0.6),
+            (joint, Gear.REVERSE, -0.3, 0.1),
+            (joint, Gear.REVERSE, -0.3, 0.2),
+            (joint, Gear.REVERSE, -0.3, 0.25),
+            (last, Gear.REVERSE, 0.0, 0.05),
+        ]
+
+    def test_indexing(self):
+        stations = ArcStations(Pose(0.0, 0.0, 0.0), self.ARCS, 0.1)
+        assert len(stations) == 10
+        assert [stations[i] for i in range(10)] == list(stations)
+        for i in (10, -1):
+            with pytest.raises(IndexError):
+                stations[i]
+        assert list(ArcStations(Pose(0.0, 0.0, 0.0), (), 0.1)) == []
 
 
 class TestStepCost:
